@@ -94,9 +94,12 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   DSF_CHECK(file.BulkLoad(initial).ok());
   file.ResetIoStats();
   file.ResetCacheStats();
-  // The device model applies to the measured traffic only, not the load.
-  file.control().file().set_access_latency(
-      std::chrono::microseconds(page_latency_us));
+  // The device model applies to the measured traffic only, not the load:
+  // a flat per-access latency (no seek charge), paid as a real sleep.
+  file.control().file().set_disk_model(
+      DiskModel{/*seek_ms=*/0,
+                /*transfer_ms=*/static_cast<double>(page_latency_us) * 1e-3},
+      /*sleep=*/page_latency_us > 0);
 
   const auto start = std::chrono::steady_clock::now();
   for (const Op& op : trace) {
@@ -105,7 +108,7 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   }
   const auto end = std::chrono::steady_clock::now();
 
-  file.control().file().set_access_latency(std::chrono::nanoseconds(0));
+  file.control().file().set_disk_model(DiskModel{0, 0});
   DSF_CHECK(file.ValidateInvariants().ok());
 
   Row row;

@@ -164,7 +164,7 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   DSF_CHECK(file.Flush().ok());
   const auto end = std::chrono::steady_clock::now();
 
-  file.control().file().set_access_latency(std::chrono::nanoseconds(0));
+  file.control().file().set_disk_model(DiskModel{0, 0});
   DSF_CHECK(file.ValidateInvariants().ok());
   const AuditReport audit = file.Audit();
   DSF_CHECK(audit.ok()) << audit.ToString();
@@ -251,7 +251,7 @@ ShardRow RunShardedConfig(int num_threads, int64_t ops_per_thread,
   ParallelReplayer replayer(replay_options);
   const ReplayResult result = replayer.Replay(file, traces);
   DSF_CHECK(result.ok()) << result.first_unexpected_error;
-  file.SetAccessLatency(std::chrono::nanoseconds(0));
+  file.SetDiskModel(DiskModel{0, 0}, /*sleep=*/false);
   // Capture the replay's device traffic before the verification scans
   // add theirs.
   const IoStats io = file.io_stats();

@@ -23,25 +23,13 @@
 //
 // Usage: shard_scaling [--ops=N] [--total_pages=M] [--fill_percent=F]
 //                      [--page_latency_us=U] [--staging_bytes=B]
-//                      [--mode=mixed|rwlock] [--out=PATH]
+//                      [--out=PATH]
 //
 // --staging_bytes > 0 mounts write-burst staging (docs/INGEST.md): the
 // budget splits near-evenly into per-shard memtables (remainder to the
 // first shards) and the replayer flushes staging inside the measured
 // wall time, so throughput stays honest. Per-shard staging hit/drain
 // counters land in the JSON rows.
-//
-// --mode=rwlock swaps the workload for a 90% get / 10% insert+delete
-// mix over the shared key space (threads are NOT partitioned by range,
-// so readers collide on shards) and runs every configuration twice:
-// once with Options::exclusive_reads (the pre-reader-writer baseline,
-// every Get takes the shard mutex exclusively) and once on the shared
-// read path (docs/CONCURRENCY.md). The JSON — tracked in
-// BENCH_rwlock.json — reports per-config read throughput for both runs
-// and the shared/exclusive speedup. With a device latency installed,
-// shared readers overlap their page-access sleeps on the same shard
-// while the exclusive baseline serializes them, so the speedup
-// approaches the thread count even on a single core.
 
 #include <algorithm>
 #include <cstdint>
@@ -70,7 +58,6 @@ struct Row {
   Config config;
   double wall_seconds = 0;
   double ops_per_second = 0;
-  double get_ops_per_second = 0;
   double insert_delete_ops_per_second = 0;
   double mean_op_ns = 0;
   int64_t max_op_ns = 0;
@@ -87,13 +74,11 @@ struct Row {
 
 Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
               Key key_space, int64_t fill_percent, int64_t page_latency_us,
-              int64_t staging_bytes, bool read_mostly = false,
-              bool exclusive_reads = false) {
+              int64_t staging_bytes) {
   ShardedDenseFile::Options options;
   options.num_shards = config.shards;
   options.key_space = key_space;
   options.staging_bytes = staging_bytes;
-  options.exclusive_reads = exclusive_reads;
   // Same page geometry everywhere: d = 8, D = 36, so D - d = 28. The
   // unsharded 4096-page file misses Theorem 5.7's gap condition
   // (28 <= 3*ceil(log 4096) = 36) and runs on auto-selected K = 2
@@ -118,26 +103,18 @@ Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
   }
   DSF_CHECK((*file)->BulkLoad(initial).ok());
   (*file)->ResetStats();
-  // The device model applies to the measured traffic only, not the load.
-  (*file)->SetAccessLatency(std::chrono::microseconds(page_latency_us));
+  // The device model applies to the measured traffic only, not the load:
+  // a flat per-access latency (no seek charge), paid as a real sleep.
+  DiskModel flat;
+  flat.seek_ms = 0;
+  flat.transfer_ms = static_cast<double>(page_latency_us) * 1e-3;
+  (*file)->SetDiskModel(flat, /*sleep=*/page_latency_us > 0);
 
-  // The mixed sweep partitions threads by key range (each client owns a
-  // shard-aligned slice); the rwlock mode deliberately does NOT — its
-  // readers draw modular-disjoint keys over the whole space so they
-  // collide on shards, which is exactly the contention the shared read
-  // path is meant to absorb.
-  const std::vector<Trace> traces =
-      read_mostly
-          ? ParallelReplayer::DisjointUniformMixes(
-                config.threads, total_ops / config.threads,
-                /*insert_fraction=*/0.05, /*delete_fraction=*/0.05,
-                /*scan_fraction=*/0.0, key_space, /*scan_span=*/64,
-                /*seed=*/99)
-          : ParallelReplayer::DisjointRangeMixes(
-                config.threads, total_ops / config.threads,
-                /*insert_fraction=*/0.40, /*delete_fraction=*/0.40,
-                /*scan_fraction=*/0.05, key_space, /*scan_span=*/64,
-                /*seed=*/99);
+  // Each client owns a shard-aligned slice of the key space.
+  const std::vector<Trace> traces = ParallelReplayer::DisjointRangeMixes(
+      config.threads, total_ops / config.threads,
+      /*insert_fraction=*/0.40, /*delete_fraction=*/0.40,
+      /*scan_fraction=*/0.05, key_space, /*scan_span=*/64, /*seed=*/99);
 
   ParallelReplayer replayer({config.threads});
   const ReplayResult result = replayer.Replay(**file, traces);
@@ -149,8 +126,6 @@ Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
   row.config = config;
   row.wall_seconds = result.wall_seconds;
   row.ops_per_second = result.OpsPerSecond();
-  row.get_ops_per_second =
-      static_cast<double>(agg.gets) / result.wall_seconds;
   row.insert_delete_ops_per_second =
       static_cast<double>(agg.inserts + agg.deletes) / result.wall_seconds;
   row.mean_op_ns = agg.ops == 0
@@ -222,108 +197,21 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
   os << "  ]\n}\n";
 }
 
-void WriteRwlockJson(std::ostream& os, const std::vector<Row>& exclusive,
-                     const std::vector<Row>& shared, int64_t total_pages,
-                     int64_t total_ops, Key key_space, int64_t fill_percent,
-                     int64_t page_latency_us, int64_t staging_bytes) {
-  os << "{\n";
-  os << "  \"benchmark\": \"shard_rwlock\",\n";
-  os << "  \"total_pages\": " << total_pages << ",\n";
-  os << "  \"total_ops\": " << total_ops << ",\n";
-  os << "  \"key_space\": " << key_space << ",\n";
-  os << "  \"fill_percent\": " << fill_percent << ",\n";
-  os << "  \"page_latency_us\": " << page_latency_us << ",\n";
-  os << "  \"staging_bytes\": " << staging_bytes << ",\n";
-  os << "  \"workload\": {\"insert\": 0.05, \"delete\": 0.05, "
-        "\"get\": 0.90, \"scan\": 0.00},\n";
-  os << "  \"configs\": [\n";
-  for (size_t i = 0; i < shared.size(); ++i) {
-    const Row& ex = exclusive[i];
-    const Row& sh = shared[i];
-    os << "    {\"threads\": " << sh.config.threads
-       << ", \"shards\": " << sh.config.shards
-       << ", \"exclusive\": {\"wall_seconds\": " << ex.wall_seconds
-       << ", \"ops_per_second\": " << ex.ops_per_second
-       << ", \"get_ops_per_second\": " << ex.get_ops_per_second
-       << ", \"rejected\": " << ex.rejected << "}"
-       << ", \"shared\": {\"wall_seconds\": " << sh.wall_seconds
-       << ", \"ops_per_second\": " << sh.ops_per_second
-       << ", \"get_ops_per_second\": " << sh.get_ops_per_second
-       << ", \"rejected\": " << sh.rejected << "}"
-       << ", \"read_speedup_vs_exclusive\": "
-       << sh.get_ops_per_second / ex.get_ops_per_second << "}"
-       << (i + 1 < shared.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
-// --mode=rwlock: run each configuration twice (exclusive baseline, then
-// the shared read path) on the 90/10 read-mostly mix and report the
-// read-throughput ratio. Both runs share the workload, seed, geometry
-// and staging budget; the ONLY delta is Options::exclusive_reads, so
-// the ratio isolates the locking protocol.
-int RwlockMain(int64_t total_ops, int64_t total_pages, Key key_space,
-               int64_t fill_percent, int64_t page_latency_us,
-               int64_t staging_bytes, const std::string& out) {
-  const std::vector<Config> sweep = {
-      {1, 1}, {2, 1}, {4, 1}, {8, 1}, {8, 8},
-  };
-  bench::Section(
-      "E19: reader-writer shard locks, 90/10 read-mostly mix (page "
-      "latency " +
-      std::to_string(page_latency_us) + "us, staging " +
-      std::to_string(staging_bytes) + "B)");
-  bench::Table table({"threads", "shards", "excl Kget/s", "shared Kget/s",
-                      "read speedup", "excl wall s", "shared wall s"});
-  std::vector<Row> exclusive;
-  std::vector<Row> shared;
-  for (const Config& config : sweep) {
-    DSF_CHECK(total_pages % config.shards == 0)
-        << "total_pages must divide evenly into shards";
-    DSF_CHECK(total_ops % config.threads == 0)
-        << "total_ops must divide evenly into threads";
-    exclusive.push_back(RunConfig(config, total_pages, total_ops, key_space,
-                                  fill_percent, page_latency_us,
-                                  staging_bytes, /*read_mostly=*/true,
-                                  /*exclusive_reads=*/true));
-    shared.push_back(RunConfig(config, total_pages, total_ops, key_space,
-                               fill_percent, page_latency_us, staging_bytes,
-                               /*read_mostly=*/true,
-                               /*exclusive_reads=*/false));
-    const Row& ex = exclusive.back();
-    const Row& sh = shared.back();
-    table.Row(config.threads, config.shards, ex.get_ops_per_second * 1e-3,
-              sh.get_ops_per_second * 1e-3,
-              sh.get_ops_per_second / ex.get_ops_per_second,
-              ex.wall_seconds, sh.wall_seconds);
-  }
-  table.Print();
-
-  if (out == "-") {
-    WriteRwlockJson(std::cout, exclusive, shared, total_pages, total_ops,
-                    key_space, fill_percent, page_latency_us, staging_bytes);
-  } else {
-    std::ofstream f(out);
-    DSF_CHECK(f.good()) << "cannot open " << out;
-    WriteRwlockJson(f, exclusive, shared, total_pages, total_ops, key_space,
-                    fill_percent, page_latency_us, staging_bytes);
-    bench::Note("JSON written to " + out);
-  }
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   int64_t total_ops = 24000;
   int64_t total_pages = 4096;
   int64_t fill_percent = 50;
   int64_t page_latency_us = 100;
   int64_t staging_bytes = 0;
-  std::string mode = "mixed";
   std::string out = "-";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--ops=", 0) == 0) {
       total_ops = std::stoll(arg.substr(6));
+      if (total_ops < 1) {
+        std::cerr << "invalid flag: " << arg << " (need >= 1)\n";
+        return 1;
+      }
     } else if (arg.rfind("--total_pages=", 0) == 0) {
       total_pages = std::stoll(arg.substr(14));
     } else if (arg.rfind("--fill_percent=", 0) == 0) {
@@ -335,10 +223,6 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--staging_bytes=", 0) == 0) {
       staging_bytes = std::stoll(arg.substr(16));
       DSF_CHECK(staging_bytes >= 0);
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      mode = arg.substr(7);
-      DSF_CHECK(mode == "mixed" || mode == "rwlock")
-          << "mode must be mixed or rwlock";
     } else if (arg.rfind("--out=", 0) == 0) {
       out = arg.substr(6);
     } else {
@@ -347,10 +231,15 @@ int Main(int argc, char** argv) {
     }
   }
   const Key key_space = static_cast<Key>(total_pages) * 8;  // = capacity
-
-  if (mode == "rwlock") {
-    return RwlockMain(total_ops, total_pages, key_space, fill_percent,
-                      page_latency_us, staging_bytes, out);
+  // Open the output before the sweep: an unwritable path fails now, not
+  // after minutes of runs.
+  std::ofstream out_file;
+  if (out != "-") {
+    out_file.open(out);
+    if (!out_file.good()) {
+      std::cerr << "cannot open --out: " << out << "\n";
+      return 1;
+    }
   }
 
   const std::vector<Config> sweep = {
@@ -381,16 +270,9 @@ int Main(int argc, char** argv) {
   }
   table.Print();
 
-  if (out == "-") {
-    WriteJson(std::cout, rows, total_pages, total_ops, key_space,
-              fill_percent, page_latency_us, staging_bytes);
-  } else {
-    std::ofstream f(out);
-    DSF_CHECK(f.good()) << "cannot open " << out;
-    WriteJson(f, rows, total_pages, total_ops, key_space, fill_percent,
-              page_latency_us, staging_bytes);
-    bench::Note("JSON written to " + out);
-  }
+  WriteJson(out == "-" ? std::cout : out_file, rows, total_pages, total_ops,
+            key_space, fill_percent, page_latency_us, staging_bytes);
+  if (out != "-") bench::Note("JSON written to " + out);
   return 0;
 }
 

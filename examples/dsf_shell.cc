@@ -1,6 +1,12 @@
 // dsf_shell: a tiny interactive console for exploring a dense file.
 //
-//   ./build/examples/dsf_shell [M d D]
+//   ./build/examples/dsf_shell [dir] [M d D]
+//
+// With `dir`, the file lives on disk as FileBackend's dsf.idx / dsf.dat
+// pair in that directory (created if missing): the shell reopens an
+// existing pair with DenseFile::Open — which repairs any crash damage —
+// and creates a fresh one otherwise. A reopen must use the geometry the
+// file was created with. Without `dir` the file is in memory only.
 //
 // Commands (one per line on stdin):
 //   ins <key> [value]    insert a record
@@ -12,28 +18,30 @@
 //   stats                I/O and command statistics
 //   check                run the full invariant battery
 //   compact              reorganize to uniform density
-//   save <path>          write a snapshot
+//   flush                durability point: everything so far is on disk
 //   help                 this text
 //   quit                 exit
 //
 // Piping a script works too:  echo "fill 500
 // viz" | ./build/examples/dsf_shell
 
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "core/control2.h"
 #include "core/dense_file.h"
-#include "core/snapshot.h"
+#include "storage/file_backend.h"
 #include "util/random.h"
 
 namespace {
 
 void PrintHelp() {
   std::cout << "commands: ins del get scan fill viz stats check compact "
-               "save help quit\n";
+               "flush help quit\n";
 }
 
 // One character per page group: ' .:+*#@' by occupancy against d.
@@ -77,19 +85,45 @@ void Visualize(dsf::DenseFile& file) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A lone argument, or one before the geometry triple, is the directory.
+  const bool has_dir = argc == 2 || argc == 5;
+  const int geometry = has_dir ? 2 : 1;
+  const bool has_geometry = argc == geometry + 3;
   dsf::DenseFile::Options options;
-  options.num_pages = argc > 3 ? std::stoll(argv[1]) : 256;
-  options.d = argc > 3 ? std::stoll(argv[2]) : 8;
-  options.D = argc > 3 ? std::stoll(argv[3]) : 8 + 33;
-  auto file_or = dsf::DenseFile::Create(options);
+  options.num_pages = has_geometry ? std::stoll(argv[geometry]) : 256;
+  options.d = has_geometry ? std::stoll(argv[geometry + 1]) : 8;
+  options.D = has_geometry ? std::stoll(argv[geometry + 2]) : 8 + 33;
+  bool reopen = false;
+  if (has_dir) {
+    const std::filesystem::path dir = argv[1];
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::cerr << "cannot create " << dir << ": " << ec.message() << "\n";
+      return 1;
+    }
+    dsf::FileBackend::Options backend;
+    backend.directory = dir.string();
+    reopen = std::filesystem::exists(dir / "dsf.idx");
+    options.backend_factory = reopen
+                                  ? dsf::FileBackend::OpenFactory(backend)
+                                  : dsf::FileBackend::CreateFactory(backend);
+  }
+  auto file_or = reopen ? dsf::DenseFile::Open(options)
+                        : dsf::DenseFile::Create(options);
   if (!file_or.ok()) {
-    std::cerr << "create failed: " << file_or.status() << "\n";
+    std::cerr << (reopen ? "open" : "create")
+              << " failed: " << file_or.status() << "\n";
     return 1;
   }
   std::unique_ptr<dsf::DenseFile> file = std::move(*file_or);
   std::cout << "dsf shell — M=" << file->num_pages() << " d=" << options.d
-            << " D=" << options.D << " policy=" << file->PolicyName()
-            << " (type 'help')\n";
+            << " D=" << options.D << " policy=" << file->PolicyName();
+  if (has_dir) {
+    std::cout << (reopen ? " reopened " : " created ") << argv[1] << " ("
+              << file->size() << " records)";
+  }
+  std::cout << " (type 'help')\n";
 
   dsf::Rng rng(1);
   std::string line;
@@ -153,10 +187,8 @@ int main(int argc, char** argv) {
       std::cout << file->ValidateInvariants() << "\n";
     } else if (cmd == "compact") {
       std::cout << file->Compact() << "\n";
-    } else if (cmd == "save") {
-      std::string path;
-      if (!(in >> path)) { PrintHelp(); continue; }
-      std::cout << dsf::SaveSnapshot(*file, path) << "\n";
+    } else if (cmd == "flush") {
+      std::cout << file->Flush() << "\n";
     } else {
       PrintHelp();
     }

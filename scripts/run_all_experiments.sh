@@ -16,14 +16,6 @@
 #   BENCH_ingest.json ingest_sweep (E18: staged vs unstaged write bursts,
 #                     physical writes / seeks / drain-step certification,
 #                     single-file and sharded replay)
-#   BENCH_rwlock.json shard_scaling --mode=rwlock (E19: 90/10 read-mostly
-#                     mix, shared read path vs exclusive_reads baseline,
-#                     per-config read-throughput speedup)
-#   BENCH_adaptive.json adaptive_sweep (E20: adversarial workload suite,
-#                     self-tuning controller vs a grid of static
-#                     configurations: physical accesses, actuations,
-#                     frame conservation, zero certified-bound
-#                     violations)
 #   BENCH_durable.json durable_sweep (E21: simulated vs MemoryBackend vs
 #                     FileBackend buffered/noverify/O_DIRECT — wall
 #                     time, preads/pwrites/fdatasyncs, identical
@@ -58,7 +50,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   cmake -B build-tsan -G Ninja -DDSF_SANITIZE=thread
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'sharded_file_test|obs_test|buffer_pool_test|tune_test'
+    -R 'sharded_file_test|obs_test|buffer_pool_test'
   echo "Sanitizer matrix clean"
   exit 0
 fi
@@ -66,7 +58,7 @@ fi
 if [[ "${1:-}" == "--bench" ]]; then
   cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench --target gbench_core shard_scaling cache_sweep \
-    obs_certify ingest_sweep adaptive_sweep durable_sweep
+    obs_certify ingest_sweep durable_sweep
   ./build-bench/bench/gbench_core \
     --benchmark_format=json \
     --benchmark_min_time=0.2 > BENCH_core.json
@@ -74,13 +66,9 @@ if [[ "${1:-}" == "--bench" ]]; then
   ./build-bench/bench/cache_sweep --out=BENCH_cache.json
   ./build-bench/bench/obs_certify --out=BENCH_obs.json
   ./build-bench/bench/ingest_sweep --out=BENCH_ingest.json
-  ./build-bench/bench/shard_scaling --mode=rwlock --ops=8000 \
-    --out=BENCH_rwlock.json
-  ./build-bench/bench/adaptive_sweep --out=BENCH_adaptive.json
   ./build-bench/bench/durable_sweep --out=BENCH_durable.json
   echo "Wrote BENCH_core.json, BENCH_shard.json, BENCH_cache.json," \
-    "BENCH_obs.json, BENCH_ingest.json, BENCH_rwlock.json," \
-    "BENCH_adaptive.json and BENCH_durable.json"
+    "BENCH_obs.json, BENCH_ingest.json and BENCH_durable.json"
   exit 0
 fi
 

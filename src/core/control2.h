@@ -123,17 +123,6 @@ class Control2 : public ControlBase {
   const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
 
-  // Retargets the SHIFT cycles per command — the J actuator behind the
-  // self-tuning controller (tune/). Raising J buys maintenance headroom
-  // at a higher per-command ceiling; Theorem 5.5's guarantee needs
-  // J = Omega(log^2 M/(D-d)), so callers must never go below the
-  // resolved default (DensitySpec::RecommendedJ at kDefaultJSafety) —
-  // DSF_CHECKed here against j >= 1 only, since tests legitimately
-  // explore the sub-recommended regime. Takes effect on the next
-  // command; the caller owns recomputing any certifier envelope
-  // (BoundCertifier::Recalibrate).
-  void SetMaintenanceJ(int64_t j);
-
   // Per-node introspection for tests and the Example 5.2 replay.
   bool warning(int node) const { return warning_[node] != 0; }
   Address dest(int node) const { return dest_[node]; }

@@ -102,26 +102,36 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
         file->control_->AttachStorageBackend(std::move(*backend)));
   }
   // The J the Theorem-5.7 envelope is evaluated at — shared by the bound
-  // certifier and the drain scheduler's step budget, and retunable later
-  // through SetMaintenanceJ (never below this resolved default).
-  file->certified_j_ =
+  // certifier and the drain scheduler's step budget.
+  const int64_t envelope_j =
       control2_j > 0 ? control2_j
                      : file->control_->logical_spec().RecommendedJ(
                            Control2::kDefaultJSafety);
-  file->default_j_ = file->certified_j_;
   if (options.certify_bound) {
     file->certifier_ = std::make_unique<BoundCertifier>(
-        options.num_pages, options.d, options.D, block_size,
-        file->certified_j_);
+        options.num_pages, options.d, options.D, block_size, envelope_j);
   }
+  // Per-step drain budget = the per-command envelope K*(4J+2): a step
+  // never asks for more logical accesses than the worst single command
+  // is allowed (soft cap: the command that crosses the line completes
+  // and is still individually certified). The auto batch divides the
+  // budget by 4K — roughly J typical inserts (read + write + a SHIFT
+  // cycle's traffic each) per step.
+  file->drain_access_budget_ =
+      BoundCertifier::BudgetFor(block_size, envelope_j);
   if (options.staging_entries > 0 || options.staging_bytes > 0) {
     Memtable::Options staging;
     staging.max_entries = options.staging_entries;
     staging.max_bytes = options.staging_bytes;
     file->staging_ = std::make_unique<Memtable>(staging);
-    file->drain_batch_override_ = options.drain_batch;
+    file->drain_batch_ =
+        options.drain_batch > 0
+            ? options.drain_batch
+            : std::max<int64_t>(
+                  4, file->drain_access_budget_ / (4 * block_size));
+    file->drain_trigger_ =
+        std::max(file->drain_batch_, file->staging_->capacity() / 2);
   }
-  file->SyncTuningDerivedState(/*recalibrate=*/false);
   if (options.metrics != nullptr || options.tracer != nullptr ||
       file->certifier_ != nullptr) {
     file->control_->SetObservability(options.metrics, options.tracer,
@@ -617,72 +627,7 @@ Status DenseFile::InsertBatchSorted(const Record* begin, const Record* end) {
   return MaybeAudit(control_->InsertBatchSorted(begin, end));
 }
 
-Status DenseFile::Compact() {
-  Status s = MaybeAudit(control_->Compact());
-  // A wholesale reorganization is a (re-)calibration point: recompute
-  // the certifier envelope from the live (K, J) rather than trusting the
-  // open-time values — the invariant is that the budget being enforced
-  // always matches the state the commands actually run against.
-  if (s.ok()) SyncTuningDerivedState(/*recalibrate=*/true);
-  return s;
-}
-
-void DenseFile::SyncTuningDerivedState(bool recalibrate) {
-  const int64_t k = control_->block_size();
-  // Per-step drain budget = the per-command envelope K*(4J+2): a step
-  // never asks for more logical accesses than the worst single command
-  // is allowed (soft cap: the command that crosses the line completes
-  // and is still individually certified). The auto batch divides the
-  // budget by 4K — roughly J typical inserts (read + write + a SHIFT
-  // cycle's traffic each) per step.
-  drain_access_budget_ = BoundCertifier::BudgetFor(k, certified_j_);
-  if (staging_ != nullptr) {
-    drain_batch_ = drain_batch_override_ > 0
-                       ? drain_batch_override_
-                       : std::max<int64_t>(4, drain_access_budget_ / (4 * k));
-    drain_trigger_ = std::max(drain_batch_, staging_->capacity() / 2);
-  }
-  if (recalibrate && certifier_ != nullptr) {
-    certifier_->Recalibrate(k, certified_j_);
-  }
-}
-
-Status DenseFile::SetMaintenanceJ(int64_t j) {
-  if (options_.policy != Policy::kControl2) {
-    return Status::InvalidArgument("maintenance J is a CONTROL 2 knob; " +
-                                   control_->Name() + " has no J");
-  }
-  if (j < default_j_) {
-    return Status::InvalidArgument(
-        "J=" + std::to_string(j) + " below the resolved default " +
-        std::to_string(default_j_) + " (Theorem 5.5's floor)");
-  }
-  static_cast<Control2*>(control_.get())->SetMaintenanceJ(j);
-  certified_j_ = j;
-  SyncTuningDerivedState(/*recalibrate=*/true);
-  return Status::OK();
-}
-
-void DenseFile::SetDrainBatch(int64_t batch) {
-  if (staging_ == nullptr) return;
-  drain_batch_override_ = batch > 0 ? batch : 0;
-  SyncTuningDerivedState(/*recalibrate=*/false);
-}
-
-int64_t DenseFile::SetStagingCapacity(int64_t entries) {
-  if (staging_ == nullptr) return 0;
-  const int64_t installed = staging_->SetCapacity(entries);
-  SyncTuningDerivedState(/*recalibrate=*/false);
-  return installed;
-}
-
-Status DenseFile::ResizeCache(int64_t new_frames) {
-  if (control_->pool() == nullptr) {
-    return Status::FailedPrecondition(
-        "cache resize on a file opened without a buffer pool");
-  }
-  return control_->pool()->Resize(new_frames);
-}
+Status DenseFile::Compact() { return MaybeAudit(control_->Compact()); }
 
 Status DenseFile::BulkLoad(const std::vector<Record>& records) {
   // A load replaces the file's contents wholesale; staged mutations

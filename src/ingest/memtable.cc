@@ -55,11 +55,6 @@ Memtable::Memtable(const Options& options) {
       std::min<int64_t>(capacity_, int64_t{1} << 20)));
 }
 
-int64_t Memtable::SetCapacity(int64_t new_capacity) {
-  capacity_ = std::max<int64_t>({int64_t{1}, new_capacity, size()});
-  return capacity_;
-}
-
 std::vector<StagedEntry>::iterator Memtable::Position(Key key) {
   return std::lower_bound(entries_.begin(), entries_.end(),
                           StagedEntry{Record{key, 0}, StagedEntry::Kind::kInsert},

@@ -102,10 +102,6 @@ int64_t Histogram::QuantileFromBuckets(
   return BucketUpperEdge(kHistogramBuckets - 1);
 }
 
-int64_t Histogram::ApproxQuantile(double q) const {
-  return QuantileFromBuckets(BucketCounts(), q);
-}
-
 std::array<int64_t, kHistogramBuckets> Histogram::BucketCounts() const {
   std::array<int64_t, kHistogramBuckets> out{};
   for (const Stripe& s : stripes_) {

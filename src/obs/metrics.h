@@ -123,8 +123,6 @@ class Histogram {
   // (merges and diffs of per-bucket counts are exact).
   static int64_t QuantileFromBuckets(
       const std::array<int64_t, kHistogramBuckets>& buckets, double q);
-  // QuantileFromBuckets over this histogram's live merged counts.
-  int64_t ApproxQuantile(double q) const;
 
  private:
   // One stripe row: the full bucket array plus sum/max, padded so

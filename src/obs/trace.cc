@@ -24,8 +24,6 @@ const char* SpanKindToString(SpanKind kind) {
       return "DRAIN";
     case SpanKind::kSharedRead:
       return "SHARED_READ";
-    case SpanKind::kTune:
-      return "TUNE";
   }
   return "UNKNOWN";
 }

@@ -45,8 +45,6 @@ enum class SpanKind {
   kDrain,           // a = staged entries drained, b = entries remaining
   kSharedRead,      // a = branch (0 shared lock, 1 epoch hit, 2 epoch
                     //     miss blocking), b = shard index
-  kTune,            // a = TuneActuator as int, b = actuator-specific
-                    //     detail (frames moved, new drain batch, new J)
 };
 
 const char* SpanKindToString(SpanKind kind);

@@ -9,7 +9,6 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tune/controller.h"
 
 namespace dsf {
 
@@ -183,18 +182,6 @@ StatusOr<std::unique_ptr<ShardedDenseFile>> ShardedDenseFile::Create(
         reg.FindOrCreateCounter(kMetricReadLockEpochHits, label);
     file->m_read_epoch_fallbacks_ =
         reg.FindOrCreateCounter(kMetricReadLockEpochFallbacks, label);
-    // Same handles the shards publish into (label-matched), so the
-    // signal collector reads per-shard access distributions without
-    // snapshotting the whole registry.
-    file->m_shard_access_.reserve(static_cast<size_t>(s));
-    for (int i = 0; i < s; ++i) {
-      file->m_shard_access_.push_back(
-          reg.FindOrCreateHistogram(kMetricCommandAccesses, ShardLabel(i)));
-    }
-  }
-  if (options.tuning.enabled) {
-    file->tuner_ = std::make_unique<AdaptiveController>(
-        options.tuning, s, options.shard.metrics);
   }
   return file;
 }
@@ -205,8 +192,6 @@ ShardedDenseFile::ShardedDenseFile(const Options& options,
     : options_(options),
       splitters_(std::move(splitters)),
       shards_(std::move(shards)) {}
-
-ShardedDenseFile::~ShardedDenseFile() = default;
 
 std::vector<Key> ShardedDenseFile::LearnSplitters(
     const std::vector<Record>& sample, int num_shards) {
@@ -264,7 +249,6 @@ Status ShardedDenseFile::Insert(const Record& record) {
   // Owning lock released: spend this command's piggyback drain budget on
   // the next shard round-robin so idle shards' staging never starves.
   DrainRotate();
-  MaybeTune();
   return s;
 }
 
@@ -276,7 +260,6 @@ Status ShardedDenseFile::Delete(Key key) {
     s = shard.file->Delete(key);
   }
   DrainRotate();
-  MaybeTune();
   return s;
 }
 
@@ -299,175 +282,9 @@ void ShardedDenseFile::DrainRotate() {
   IgnoreStatus(shard.file->DrainStep());
 }
 
-void ShardedDenseFile::MaybeTune() {
-  const int64_t publish = options_.publish_metrics_every;
-  if (tuner_ == nullptr && publish <= 0) return;
-  const int64_t seq =
-      command_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (publish > 0 && seq % publish == 0) PublishMetrics();
-  // tick_every via the controller's copy: it sanitized the options.
-  if (tuner_ != nullptr &&
-      seq % tuner_->options().tick_every_commands == 0) {
-    ForceTuneTick();
-  }
-}
-
-void ShardedDenseFile::ForceTuneTick() {
-  if (tuner_ == nullptr) return;
-  const TuneDecision decision = tuner_->Tick(CollectTuneSignals());
-  if (!decision.empty()) ApplyTuneDecision(decision);
-}
-
-std::vector<TuneShardSignals> ShardedDenseFile::CollectTuneSignals() const {
-  std::vector<TuneShardSignals> signals(
-      static_cast<size_t>(num_shards()));
-  for (int i = 0; i < num_shards(); ++i) {
-    TuneShardSignals& s = signals[static_cast<size_t>(i)];
-    const Shard& shard = *shards_[static_cast<size_t>(i)];
-    ReaderMutexLock lock(shard.mu);
-    const DenseFile& f = *shard.file;
-    s.commands = f.command_stats().commands;
-    const BufferPool::Stats cache = f.cache_stats();
-    s.pool_hits = cache.hits;
-    s.pool_misses = cache.misses;
-    s.pool_frames = f.cache_frames();
-    s.pool_dirty = f.cache_dirty_frames();
-    const StagingStats staging = f.staging_stats();
-    s.staging_puts = staging.puts;
-    s.drained_entries = staging.drained_entries;
-    s.staging_annihilations = staging.annihilations;
-    s.staging_entries = staging.entries;
-    s.staging_capacity = staging.capacity;
-    s.drain_batch = f.drain_batch();
-    s.records = f.size();
-    s.j = f.maintenance_j();
-    s.default_j = f.maintenance_j_floor();
-    s.budget = f.bound_budget();
-    if (static_cast<size_t>(i) < m_shard_access_.size() &&
-        m_shard_access_[static_cast<size_t>(i)] != nullptr) {
-      s.access_buckets =
-          m_shard_access_[static_cast<size_t>(i)]->BucketCounts();
-    }
-  }
-  return signals;
-}
-
-void ShardedDenseFile::ApplyTuneDecision(const TuneDecision& decision) {
-  CommandTracer* tracer = options_.shard.tracer;
-  int64_t actuations = 0;
-  int64_t frames_moved = 0;
-  int64_t recalibrations = 0;
-  // One kTune span per applied actuation: `a` = actuator (0 frame move,
-  // 1 drain batch, 2 staging move, 3 J change, 4 re-calibration
-  // compact), `b` the actuator-specific detail.
-  const auto trace = [tracer](int actuator, int64_t detail) {
-    if (tracer == nullptr) return;
-    SpanEvent event;
-    event.kind = SpanKind::kTune;
-    event.a = actuator;
-    event.b = detail;
-    tracer->Record(event);
-  };
-
-  for (const TuneDecision::FrameMove& move : decision.frame_moves) {
-    // Shrink the donor first and grant the recipient exactly what came
-    // out — apply-time clamping keeps the global frame budget conserved
-    // even if signals went stale between tick and apply.
-    int64_t moved = 0;
-    int64_t donor_before = 0;
-    {
-      Shard& from = *shards_[static_cast<size_t>(move.from)];
-      WriterMutexLock lock(from.mu);
-      donor_before = from.file->cache_frames();
-      const int64_t target =
-          std::max(tuner_->options().min_frames_per_shard,
-                   donor_before - move.frames);
-      if (target < donor_before && from.file->ResizeCache(target).ok()) {
-        moved = donor_before - target;
-      }
-    }
-    if (moved <= 0) continue;
-    bool granted = false;
-    {
-      Shard& to = *shards_[static_cast<size_t>(move.to)];
-      WriterMutexLock lock(to.mu);
-      granted =
-          to.file->ResizeCache(to.file->cache_frames() + moved).ok();
-    }
-    if (!granted) {
-      // Recipient refused (live pins from a cursor): hand the frames
-      // back so no slice of the budget is stranded.
-      Shard& from = *shards_[static_cast<size_t>(move.from)];
-      WriterMutexLock lock(from.mu);
-      IgnoreStatus(from.file->ResizeCache(donor_before));
-      continue;
-    }
-    ++actuations;
-    frames_moved += moved;
-    trace(0, moved);
-  }
-
-  for (const TuneDecision::DrainChange& change : decision.drain_changes) {
-    Shard& shard = *shards_[static_cast<size_t>(change.shard)];
-    WriterMutexLock lock(shard.mu);
-    shard.file->SetDrainBatch(change.batch);
-    ++actuations;
-    trace(1, shard.file->drain_batch());
-  }
-
-  for (const TuneDecision::StagingMove& move : decision.staging_moves) {
-    int64_t freed = 0;
-    {
-      Shard& from = *shards_[static_cast<size_t>(move.from)];
-      WriterMutexLock lock(from.mu);
-      if (from.file->staging() == nullptr) continue;
-      const int64_t before = from.file->staging()->capacity();
-      const int64_t target = std::max(
-          tuner_->options().min_staging_entries, before - move.entries);
-      if (target < before) {
-        // SetCapacity clamps to the current fill, so `freed` is what
-        // actually came out, never entries the buffer still holds.
-        freed = before - from.file->SetStagingCapacity(target);
-      }
-    }
-    if (freed <= 0) continue;
-    Shard& to = *shards_[static_cast<size_t>(move.to)];
-    WriterMutexLock lock(to.mu);
-    if (to.file->staging() == nullptr) continue;
-    to.file->SetStagingCapacity(to.file->staging()->capacity() + freed);
-    ++actuations;
-    trace(2, freed);
-  }
-
-  for (const TuneDecision::Recalibration& recal : decision.recalibrations) {
-    Shard& shard = *shards_[static_cast<size_t>(recal.shard)];
-    WriterMutexLock lock(shard.mu);
-    bool applied = false;
-    if (recal.set_j > 0 &&
-        shard.file->SetMaintenanceJ(recal.set_j).ok()) {
-      applied = true;
-      trace(3, recal.set_j);
-    }
-    if (recal.compact && shard.file->Compact().ok()) {
-      applied = true;
-      trace(4, recal.shard);
-    }
-    if (applied) {
-      ++actuations;
-      ++recalibrations;
-    }
-  }
-
-  tuner_->RecordApplied(actuations, frames_moved, recalibrations);
-}
-
 StatusOr<Value> ShardedDenseFile::Get(Key key) const {
   const int index = ShardOf(key);
   const Shard& shard = *shards_[static_cast<size_t>(index)];
-  if (options_.exclusive_reads) {
-    WriterMutexLock lock(shard.mu);
-    return shard.file->Get(key);
-  }
   // Branch 0 — uncontended (or reader-shared) shard: a shared hold lets
   // any number of point reads overlap each other and the range scans.
   if (shard.mu.ReaderTryLock()) {
@@ -499,10 +316,6 @@ StatusOr<Value> ShardedDenseFile::Get(Key key) const {
 bool ShardedDenseFile::Contains(Key key) const {
   const int index = ShardOf(key);
   const Shard& shard = *shards_[static_cast<size_t>(index)];
-  if (options_.exclusive_reads) {
-    WriterMutexLock lock(shard.mu);
-    return shard.file->Contains(key);
-  }
   // Same three branches as Get; see there for the rationale.
   if (shard.mu.ReaderTryLock()) {
     const bool found = shard.file->Contains(key);
@@ -536,8 +349,7 @@ Status ShardedDenseFile::Scan(Key lo, Key hi,
   // this snapshot — never interleaved shard-by-shard. Shards partition
   // the key space in order, so appending per-shard results in ascending
   // shard order yields global key order.
-  MultiShardLock lock(shards_, first, last,
-                      /*exclusive=*/options_.exclusive_reads);
+  MultiShardLock lock(shards_, first, last, /*exclusive=*/false);
   for (int i = first; i <= last; ++i) {
     const Shard& shard = *shards_[static_cast<size_t>(i)];
     DSF_RETURN_IF_ERROR(shard.epoch->Scan(lo, hi, out));
@@ -846,13 +658,6 @@ CommandStats ShardedDenseFile::command_stats() const {
   return total;
 }
 
-void ShardedDenseFile::SetAccessLatency(std::chrono::nanoseconds latency) {
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    shard->file->control().file().set_access_latency(latency);
-  }
-}
-
 void ShardedDenseFile::SetDiskModel(const DiskModel& model, bool sleep) {
   for (const auto& shard : shards_) {
     WriterMutexLock lock(shard->mu);
@@ -903,36 +708,6 @@ int64_t ShardedDenseFile::shard_size(int shard) const {
   const Shard& s = *shards_[static_cast<size_t>(shard)];
   ReaderMutexLock lock(s.mu);
   return s.file->size();
-}
-
-Status ShardedDenseFile::ResizeShardCache(int shard, int64_t frames) {
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  WriterMutexLock lock(s.mu);
-  return s.file->ResizeCache(frames);
-}
-
-int64_t ShardedDenseFile::shard_cache_frames(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ReaderMutexLock lock(s.mu);
-  return s.file->cache_frames();
-}
-
-int64_t ShardedDenseFile::shard_drain_batch(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ReaderMutexLock lock(s.mu);
-  return s.file->drain_batch();
-}
-
-int64_t ShardedDenseFile::shard_staging_capacity(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ReaderMutexLock lock(s.mu);
-  return s.file->staging() == nullptr ? 0 : s.file->staging()->capacity();
-}
-
-int64_t ShardedDenseFile::shard_maintenance_j(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ReaderMutexLock lock(s.mu);
-  return s.file->maintenance_j();
 }
 
 }  // namespace dsf

@@ -24,8 +24,6 @@
 //  - Whole-file maintenance (Flush, Compact, BulkLoad, ...) visits
 //    shards in ascending order, one exclusive lock at a time; read-only
 //    aggregates (stats, size) visit one shared lock at a time.
-// Options::exclusive_reads restores the pre-reader/writer behavior
-// (every operation exclusive) for A/B benchmarking.
 //
 // Routing: splitter keys s_1 < ... < s_{S-1} assign key k to shard
 // upper_bound(splitters, k), i.e. shard i serves [s_i, s_{i+1}) with
@@ -39,7 +37,6 @@
 #define DSF_SHARD_SHARDED_DENSE_FILE_H_
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -47,18 +44,13 @@
 #include "core/dense_file.h"
 #include "storage/io_stats.h"
 #include "storage/record.h"
-#include "tune/tune_options.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace dsf {
 
 struct AuditReport;
-class AdaptiveController;
 class Counter;
-class Histogram;
-struct TuneDecision;
-struct TuneShardSignals;
 
 class ShardedDenseFile {
  public:
@@ -101,31 +93,12 @@ class ShardedDenseFile {
     std::function<StatusOr<std::unique_ptr<StorageBackend>>(
         int shard, int64_t num_pages, int64_t page_capacity)>
         shard_backend_factory;
-    // Ablation knob: take every shard lock exclusive, as before the
-    // reader-writer split — the baseline the rwlock benchmark compares
-    // against. Leave false outside A/B measurements.
-    bool exclusive_reads = false;
-    // Closed-loop self-tuning (src/tune/; see docs/TUNING.md). When
-    // enabled, an AdaptiveController ticks every tick_every_commands
-    // point commands — piggybacked on the command that crosses the
-    // boundary, after its shard lock is released — and rebalances pool
-    // frames, drain batches / staging capacity, and the J-headroom
-    // advisory across shards. BoundCertifier stays the hard envelope.
-    TuneOptions tuning;
-    // Re-publish the PublishMetrics() load gauges automatically every
-    // this many point commands (0 = manual calls only). Piggybacks on
-    // the same command counter as the tuner, so gauges are at most this
-    // many commands stale once traffic flows.
-    int64_t publish_metrics_every = 0;
   };
 
   // Validates options (splitter count/order, per-shard geometry) and
   // builds S empty shards.
   static StatusOr<std::unique_ptr<ShardedDenseFile>> Create(
       const Options& options);
-
-  // Out-of-line: the controller is only forward-declared here.
-  ~ShardedDenseFile();
 
   // Equi-depth splitters from a key-sorted sample: boundary i sits at the
   // key starting the i-th of num_shards equal-count slices. Quantiles
@@ -222,33 +195,11 @@ class ShardedDenseFile {
   IoStats shard_io_stats(int shard) const;
   CommandStats shard_command_stats(int shard) const;
   int64_t shard_size(int shard) const;
-  // Tuning-actuator gauges per shard (pool frames / drain batch /
-  // staging capacity / maintenance J), for conservation assertions in
-  // tests and benches.
-  int64_t shard_cache_frames(int shard) const;
-  int64_t shard_drain_batch(int shard) const;
-  int64_t shard_staging_capacity(int shard) const;
-  int64_t shard_maintenance_j(int shard) const;
 
-  // Manually retargets one shard's pool frame count (the same actuator
-  // the controller drives) — for static-configuration baselines in
-  // benches and for tests. FailedPrecondition when the shard runs
-  // without a pool or holds live pins.
-  Status ResizeShardCache(int shard, int64_t frames);
-
-  // The self-tuning controller (null unless Options::tuning.enabled).
-  const AdaptiveController* tuner() const { return tuner_.get(); }
-  // Runs one controller tick right now (collect signals, decide, apply)
-  // regardless of the command cadence — deterministic control for tests
-  // and benches. No-op without a controller.
-  void ForceTuneTick();
-
-  // Applies PageFile's simulated device latency to every shard — each
-  // shard models its own device, so concurrent commands on different
-  // shards overlap their page-access waits.
-  void SetAccessLatency(std::chrono::nanoseconds latency);
-  // Seek-aware variant: installs the disk model on every shard's page
-  // store (see PageFile::set_disk_model).
+  // Installs the simulated device model on every shard's page store (see
+  // PageFile::set_disk_model). Each shard models its own device, so with
+  // `sleep` concurrent commands on different shards overlap their
+  // page-access waits.
   void SetDiskModel(const DiskModel& model, bool sleep);
 
   // Publishes the current per-shard load distribution into the metrics
@@ -311,8 +262,6 @@ class ShardedDenseFile {
     const bool exclusive_;
   };
 
-  // Out-of-line (like the destructor): the forward-declared controller
-  // member's deleter must not be instantiated here.
   ShardedDenseFile(const Options& options, std::vector<Key> splitters,
                    std::vector<std::unique_ptr<Shard>> shards);
 
@@ -328,21 +277,6 @@ class ShardedDenseFile {
   // owning shard's lock is already released), so no ordering cycles.
   void DrainRotate();
 
-  // Tuning / publish piggyback, called after every point command once
-  // its shard lock is released (same pattern as DrainRotate): bumps the
-  // command counter and, on a cadence boundary, republishes load gauges
-  // and/or runs one controller tick.
-  void MaybeTune();
-  // One cumulative signal snapshot per shard, one reader lock at a time
-  // (consistent with the global ascending order).
-  std::vector<TuneShardSignals> CollectTuneSignals() const;
-  // Applies a controller decision one writer lock at a time, clamping
-  // at apply time so pool frames and staging capacity are conserved
-  // exactly (what a donor actually gave is what the recipient gets);
-  // records one kTune span per applied actuation and reports the
-  // applied totals back to the controller.
-  void ApplyTuneDecision(const TuneDecision& decision);
-
   Options options_;
   std::vector<Key> splitters_;  // strictly ascending, size num_shards - 1
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -356,16 +290,6 @@ class ShardedDenseFile {
   Counter* m_read_shared_ = nullptr;
   Counter* m_read_epoch_hits_ = nullptr;
   Counter* m_read_epoch_fallbacks_ = nullptr;
-  // Self-tuning (null unless Options::tuning.enabled). The controller
-  // serializes its own ticks; decisions are applied here one shard lock
-  // at a time.
-  std::unique_ptr<AdaptiveController> tuner_;
-  // Point commands completed — the cadence clock for MaybeTune (tick
-  // and publish boundaries). Relaxed: an off-by-a-few tick is harmless.
-  std::atomic<int64_t> command_seq_{0};
-  // Per-shard dsf_command_accesses histogram handles (the J-headroom
-  // signal); empty without a metrics registry.
-  std::vector<Histogram*> m_shard_access_;
 };
 
 }  // namespace dsf

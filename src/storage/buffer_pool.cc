@@ -534,10 +534,6 @@ Status BufferPool::MarkFree(Address address) {
 
 Status BufferPool::FlushAll() {
   MutexLock lock(mu_);
-  return FlushAllLocked();
-}
-
-Status BufferPool::FlushAllLocked() {
   // Safe-order schedule (see FlushFramesInSafeOrder): address-sorted
   // additions, then removals in L order.
   std::vector<int64_t> adds;
@@ -581,57 +577,6 @@ Status BufferPool::FlushAllLocked() {
   // Everything pending has landed: this is the durability point, so no
   // key is volatile any more.
   volatile_keys_.clear();
-  return Status::OK();
-}
-
-Status BufferPool::Resize(int64_t new_frames) {
-  if (new_frames < 1) {
-    return Status::InvalidArgument("pool must keep >= 1 frame, asked for " +
-                                   std::to_string(new_frames));
-  }
-  MutexLock lock(mu_);
-  if (live_guards_ != 0) {
-    return Status::FailedPrecondition(
-        "pool resize with " + std::to_string(live_guards_) +
-        " live page guards");
-  }
-  const int64_t old_frames = static_cast<int64_t>(frames_.size());
-  if (new_frames == old_frames) return Status::OK();
-  if (new_frames > old_frames) {
-    frames_.reserve(static_cast<size_t>(new_frames));
-    for (int64_t i = old_frames; i < new_frames; ++i) {
-      frames_.emplace_back(file_->page_capacity());
-      free_frames_.push_back(i);
-    }
-    return Status::OK();
-  }
-  // Shrink. Only the tail frames [new_frames, old_frames) leave, so
-  // every surviving frame keeps its index (PageGuards hold indices).
-  // If any departing frame is dirty, land *everything* through the
-  // safe-order flush first: flushing just the victims would reorder
-  // writes around the surviving dirty frames. On a flush fault the pool
-  // is left intact at its old size (FlushAll's retry contract).
-  bool victim_dirty = false;
-  for (int64_t i = new_frames; i < old_frames; ++i) {
-    if (frames_[static_cast<size_t>(i)].dirty) victim_dirty = true;
-  }
-  if (victim_dirty) {
-    DSF_RETURN_IF_ERROR(FlushAllLocked());
-  }
-  for (int64_t i = new_frames; i < old_frames; ++i) {
-    Frame& f = frames_[static_cast<size_t>(i)];
-    DSF_CHECK(f.pins == 0) << "resize victim pinned without a live guard";
-    if (f.address != 0) {
-      resident_.erase(f.address);
-      ++stats_.evictions;
-    }
-  }
-  frames_.erase(frames_.begin() + new_frames, frames_.end());
-  free_frames_.erase(
-      std::remove_if(free_frames_.begin(), free_frames_.end(),
-                     [new_frames](int64_t i) { return i >= new_frames; }),
-      free_frames_.end());
-  if (clock_hand_ >= new_frames) clock_hand_ = 0;
   return Status::OK();
 }
 

@@ -10,6 +10,7 @@
 #ifndef DSF_STORAGE_DISK_MODEL_H_
 #define DSF_STORAGE_DISK_MODEL_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -32,11 +33,13 @@ struct DiskModel {
   // LatencyMs worth of nanoseconds access by access — one source of
   // truth shared by elapsed-time totals, latency histograms and the
   // optional real sleep (PageFile::set_disk_model).
+  // Rounded, not truncated: a flat 100 ns latency is transfer_ms =
+  // 1e-4, whose product with 1e6 lands a hair off 100 in floating point.
   int64_t SeekChargeNs() const {
-    return static_cast<int64_t>((seek_ms + transfer_ms) * 1e6);
+    return std::llround((seek_ms + transfer_ms) * 1e6);
   }
   int64_t SequentialChargeNs() const {
-    return static_cast<int64_t>(transfer_ms * 1e6);
+    return std::llround(transfer_ms * 1e6);
   }
 
   std::string ToString() const;

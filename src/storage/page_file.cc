@@ -1,5 +1,6 @@
 #include "storage/page_file.h"
 
+#include <chrono>
 #include <sstream>
 #include <thread>
 

@@ -14,7 +14,6 @@
 #ifndef DSF_STORAGE_PAGE_FILE_H_
 #define DSF_STORAGE_PAGE_FILE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -135,32 +134,20 @@ class PageFile {
   IoStats stats() const { return tracker_.stats(); }
   void ResetStats();
 
-  // Simulated device latency: a uniform per-access charge, accumulated
-  // into IoStats::sim_elapsed_ns AND paid as a real sleep on every
-  // accounted access. Zero (the default) keeps the file purely
-  // in-memory. Experiments use this to model disk/flash-resident files,
-  // where page accesses — the paper's cost metric — dominate command
-  // time; sleeps on different PageFile instances overlap, as independent
-  // devices would. Peek/RawPage stay free, mirroring the accounting rule
-  // above. This is the flat special case of set_disk_model (seek and
-  // sequential accesses charged alike); both setters route through the
-  // AccessTracker's single charge model, so elapsed-time accounting and
-  // the sleep can never disagree.
-  void set_access_latency(std::chrono::nanoseconds latency) {
-    uniform_latency_ = latency;
-    tracker_.SetChargeNs(latency.count(), latency.count());
-    sleep_on_access_ = latency.count() > 0;
-    UpdateSlowPath();
-  }
-  std::chrono::nanoseconds access_latency() const { return uniform_latency_; }
-
-  // Seek-aware device model: a seek access charges SeekChargeNs, a
+  // Simulated device latency. A seek access charges SeekChargeNs, a
   // sequential access SequentialChargeNs — so a coalesced flush run of
-  // R consecutive pages costs one seek charge plus R-1 transfer charges,
-  // in sim_elapsed_ns and (when `sleep` is set) in real wall time alike.
-  // Replaces any charge installed by set_access_latency.
+  // R consecutive pages costs one seek charge plus R-1 transfer charges
+  // — accumulated into IoStats::sim_elapsed_ns and, when `sleep` is set,
+  // also paid as a real sleep on every accounted access. No model (the
+  // default) keeps the file purely in-memory. Experiments use this to
+  // model disk/flash-resident files, where page accesses — the paper's
+  // cost metric — dominate command time; sleeps on different PageFile
+  // instances overlap, as independent devices would. Peek/RawPage stay
+  // free, mirroring the accounting rule above. A flat per-access latency
+  // L is DiskModel{seek_ms = 0, transfer_ms = L}. Both the accounting
+  // and the sleep read the AccessTracker's single charge model, so they
+  // can never disagree.
   void set_disk_model(const DiskModel& model, bool sleep = false) {
-    uniform_latency_ = std::chrono::nanoseconds(0);
     tracker_.SetChargeNs(model.SeekChargeNs(), model.SequentialChargeNs());
     sleep_on_access_ = sleep;
     UpdateSlowPath();
@@ -206,7 +193,6 @@ class PageFile {
   Address pending_ = 0;  // 0 = no pending device write
   bool dirty_since_sync_ = false;
   std::vector<Address> corrupt_pages_at_open_;
-  std::chrono::nanoseconds uniform_latency_{0};
   bool sleep_on_access_ = false;
   bool slow_path_ = false;
 };

@@ -1,5 +1,4 @@
-// Adversarial workload generators for the self-tuning controller
-// (tune/controller.h) and the adaptive-sweep bench.
+// Adversarial workload generators.
 //
 // Three families, each attacking a different static configuration:
 //
@@ -9,13 +8,11 @@
 //     have packed tightest, the next key goes exactly there. This is
 //     the pattern behind the Omega(log^2 n) lower bound for dense
 //     sequential maintenance — it forces maximal SHIFT/redistribution
-//     work per command and collapses per-command access headroom, the
-//     trigger signal for the J-headroom advisory.
+//     work per command and collapses per-command access headroom.
 //
 //   DriftRamp — a hotspot window sliding linearly across the key space
 //     over the trace. Any static frame split fitted to the window's
-//     starting position goes stale; a controller following window
-//     misses keeps the frames under the hotspot.
+//     starting position goes stale.
 //
 //   HotspotMigration — piecewise-stationary: all traffic concentrates
 //     on one shard-sized region for a phase, then jumps to a disjoint

@@ -1,16 +1,12 @@
 // Tests for the adversarial workload generators (src/workload/adversary.*):
-// determinism under a fixed seed, the structural properties each
-// generator promises, and the motivating end-to-end fact — the bucket
-// adversary measurably degrades a statically mis-provisioned
-// configuration relative to an evenly provisioned one.
+// determinism under a fixed seed and the structural properties each
+// generator promises.
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "shard/sharded_dense_file.h"
 #include "util/random.h"
 #include "workload/adversary.h"
 #include "workload/workload.h"
@@ -143,46 +139,6 @@ TEST(AdversaryTest, HotspotMigrationVisitsEveryPhaseSlice) {
     EXPECT_GT(per_slice[static_cast<size_t>(s)], inserts / (4 * phases))
         << "slice " << s << " starved";
   }
-}
-
-// The end-to-end motivation for the controller: against the bucket
-// adversary concentrated on one shard, a static config whose frames sit
-// on the WRONG shard pays measurably more physical I/O than an even
-// split. (The adaptive sweep bench then shows the tuner closing the
-// gap; here we only pin down that the adversary creates one.)
-TEST(AdversaryTest, BucketAdversaryDegradesMisprovisionedStatic) {
-  const auto run = [](bool misprovisioned) -> int64_t {
-    ShardedDenseFile::Options options;
-    options.num_shards = 2;
-    options.key_space = 4000;
-    options.shard.num_pages = 64;
-    options.shard.d = 4;
-    options.shard.D = 20;
-    options.shard.policy = DenseFile::Policy::kControl2;
-    options.shard.cache_frames = 6;
-    auto file = std::move(*ShardedDenseFile::Create(options));
-    if (misprovisioned) {
-      // All the spare frames on shard 0; the adversary hits shard 1.
-      EXPECT_TRUE(file->ResizeShardCache(1, 1).ok());
-      EXPECT_TRUE(file->ResizeShardCache(0, 11).ok());
-    }
-    Rng rng(77);
-    const Trace trace = BucketAdversary(500, 2100, 2900, 3, rng);
-    file->ResetStats();
-    for (const Op& op : trace) {
-      if (op.kind == Op::Kind::kInsert) {
-        EXPECT_TRUE(file->Insert(op.record).ok());
-      } else {
-        EXPECT_TRUE(file->Delete(op.record.key).ok());
-      }
-    }
-    EXPECT_TRUE(file->Flush().ok());
-    return file->io_stats().TotalAccesses();
-  };
-
-  const int64_t even = run(false);
-  const int64_t wrong = run(true);
-  EXPECT_GT(wrong, even);
 }
 
 }  // namespace

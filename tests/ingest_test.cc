@@ -217,6 +217,24 @@ TEST(IngestStaging, TinyCapacityForcesDrainsAndLosesNothing) {
   }
 }
 
+TEST(IngestStaging, DrainBatchDerivedOnceAtCreate) {
+  // Auto: the budget K*(4J+2) divided by 4K, at least 4 entries. The
+  // trigger fill is max(batch, capacity / 2).
+  std::unique_ptr<DenseFile> automatic = Make(StagedOptions(16));
+  const int64_t auto_batch = automatic->drain_batch();
+  EXPECT_EQ(auto_batch,
+            std::max<int64_t>(4, automatic->drain_access_budget() /
+                                     (4 * automatic->block_size())));
+  EXPECT_EQ(automatic->drain_trigger(), std::max<int64_t>(auto_batch, 8));
+
+  // An explicit Options::drain_batch wins, and the trigger follows it.
+  DenseFile::Options options = StagedOptions(16);
+  options.drain_batch = 2 * auto_batch;
+  std::unique_ptr<DenseFile> fixed = Make(options);
+  EXPECT_EQ(fixed->drain_batch(), 2 * auto_batch);
+  EXPECT_EQ(fixed->drain_trigger(), std::max<int64_t>(2 * auto_batch, 8));
+}
+
 TEST(IngestStaging, DrainedStepsStayInsideCertifiedBudget) {
   DenseFile::Options options = StagedOptions(/*staging_entries=*/32,
                                              /*cache_frames=*/16);

@@ -5,8 +5,8 @@
 // null-registry zero-overhead guarantee, and the single-source
 // simulated-time accounting shared by IoStats and the latency sleep.
 
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -85,6 +85,78 @@ TEST(HistogramTest, ObserveMergesStripes) {
   EXPECT_EQ(buckets[0], 2);   // 0, 1
   EXPECT_EQ(buckets[1], 2);   // 2, 3
   EXPECT_EQ(buckets[10], 1);  // 1024
+}
+
+// ---------------------------------------------------------------------
+// Histogram quantiles (the exporters' upper-edge estimates)
+
+TEST(QuantileTest, EmptyAndClamping) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99), 0);
+
+  buckets[3] = 10;  // values in [8, 16), upper edge 15
+  // q is clamped into [0, 1]; any quantile of a single-bucket
+  // distribution is that bucket's upper edge.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, -0.5), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.0), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.5), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 1.0), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 7.0), 15);
+}
+
+TEST(QuantileTest, RankWalksBucketBoundaries) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  buckets[0] = 98;  // [0, 2)
+  buckets[5] = 1;   // [32, 64)
+  buckets[9] = 1;   // [512, 1024)
+  // 100 observations: ranks 1..98 in bucket 0, 99 in bucket 5, 100 in
+  // bucket 9.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.50), 1);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.98), 1);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99), 63);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 1.0), 1023);
+}
+
+TEST(QuantileTest, UpperEdgeNeverUnderstates) {
+  Histogram h;
+  h.Observe(100);  // bucket 6: [64, 128), upper edge 127
+  h.Observe(100);
+  h.Observe(1000);  // bucket 9: [512, 1024), upper edge 1023
+  // Estimates sit at or above the true quantile, within 2x.
+  const std::array<int64_t, kHistogramBuckets> buckets = h.BucketCounts();
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.5), 127);
+  const int64_t p99 = Histogram::QuantileFromBuckets(buckets, 0.99);
+  EXPECT_EQ(p99, 1023);
+  EXPECT_GE(p99, 1000);
+  EXPECT_LE(p99, 2 * 1000);
+}
+
+TEST(QuantileTest, TopBucketSaturates) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  buckets[kHistogramBuckets - 1] = 1;
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99),
+            std::numeric_limits<int64_t>::max());
+}
+
+TEST(QuantileTest, WindowDiffIsExact) {
+  // Bucket counts merge and diff exactly, so the quantile of the
+  // difference of two cumulative snapshots sees only the observations
+  // made between them.
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Observe(1);  // old regime: tiny
+  const std::array<int64_t, kHistogramBuckets> before = h.BucketCounts();
+  for (int i = 0; i < 50; ++i) h.Observe(500);  // new regime: bucket 8
+  const std::array<int64_t, kHistogramBuckets> after = h.BucketCounts();
+
+  std::array<int64_t, kHistogramBuckets> window{};
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    window[static_cast<size_t>(b)] = after[static_cast<size_t>(b)] -
+                                     before[static_cast<size_t>(b)];
+  }
+  // Cumulative p99 is polluted by the old observations' mass; the
+  // window p99 is purely the new regime.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(window, 0.5), 511);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(window, 0.99), 511);
 }
 
 // ---------------------------------------------------------------------
@@ -443,11 +515,37 @@ TEST(ObsWiringTest, Control2RunIsCertifiedClean) {
   EXPECT_TRUE(saw_command_span);
 }
 
+TEST(ObsWiringTest, CompactKeepsTheEnvelope) {
+  // Compact is an exempt command: it is tallied, never flagged, and the
+  // (K, J) envelope the following point commands are checked against is
+  // the one fixed at open.
+  DenseFile::Options options = BaseOptions(DenseFile::Policy::kControl2);
+  options.certify_bound = true;
+  auto file = DenseFile::Create(options);
+  ASSERT_TRUE(file.ok());
+  for (Key k = 1; k <= 20; ++k) ASSERT_TRUE((*file)->Insert(k, k).ok());
+  const BoundReport* report = (*file)->bound_report();
+  ASSERT_NE(report, nullptr);
+  const int64_t budget = report->budget;
+  const int64_t checked = report->commands_checked;
+
+  ASSERT_TRUE((*file)->Compact().ok());
+  EXPECT_EQ(report->budget, budget);
+  EXPECT_EQ(report->commands_exempt, 1);
+  ASSERT_TRUE((*file)->Insert(100, 1).ok());
+  EXPECT_EQ(report->commands_checked, checked + 1);
+  EXPECT_TRUE(report->ok()) << report->ToString();
+}
+
 TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
-  // Uniform latency: every access charges exactly the flat value into
-  // sim_elapsed_ns — the same number the real sleep consumes.
+  // Flat latency (no seek charge): every access charges exactly the
+  // transfer time into sim_elapsed_ns — the same number the real sleep
+  // consumes.
   PageFile file(/*num_pages=*/16, /*page_capacity=*/4);
-  file.set_access_latency(std::chrono::nanoseconds(100));
+  DiskModel flat;
+  flat.seek_ms = 0;
+  flat.transfer_ms = 1e-4;  // 100 ns
+  file.set_disk_model(flat);
   ASSERT_TRUE(file.TryRead(1).ok());
   ASSERT_TRUE(file.TryRead(2).ok());
   ASSERT_TRUE(file.TryWrite(10).ok());

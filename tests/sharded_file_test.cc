@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -158,24 +157,6 @@ TEST(ShardedDenseFileTest, ReadBranchCountersAccountEveryPointRead) {
   EXPECT_EQ(fallbacks, 0);
 }
 
-TEST(ShardedDenseFileTest, ExclusiveReadsKnobBypassesSharedPath) {
-  MetricsRegistry registry;
-  ShardedDenseFile::Options options = SmallOptions(4, 1000);
-  options.shard.metrics = &registry;
-  options.exclusive_reads = true;
-  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
-  ASSERT_TRUE(file->Insert(10, 1).ok());
-  EXPECT_TRUE(file->Get(10).ok());
-  EXPECT_TRUE(file->Contains(10));
-  for (const auto& c : registry.Snapshot().counters) {
-    if (c.name == kMetricReadLockShared ||
-        c.name == kMetricReadLockEpochHits ||
-        c.name == kMetricReadLockEpochFallbacks) {
-      EXPECT_EQ(c.value, 0) << c.name;
-    }
-  }
-}
-
 TEST(ShardedDenseFileTest, LearnSplittersBalancesSkewedSample) {
   // A heavily skewed sample: 90% of keys in [1, 100], the rest spread out.
   std::vector<Record> sample;
@@ -292,7 +273,10 @@ TEST(ShardedDenseFileTest, DeleteRangeIsAtomicAgainstConcurrentScan) {
   const int64_t full = static_cast<int64_t>(initial.size());
   // Widen the race window: every page access sleeps, so the shard-by-
   // shard pre-fix interleaving is all but guaranteed to be observed.
-  file->SetAccessLatency(std::chrono::microseconds(20));
+  DiskModel flat;
+  flat.seek_ms = 0;
+  flat.transfer_ms = 0.02;  // 20 us per access
+  file->SetDiskModel(flat, /*sleep=*/true);
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> scans_done{0};

@@ -55,9 +55,9 @@ struct AnalyzerOptions {
                                                "src/util/temp_dir"};
 
   // check-on-fault-path enforcement set (fault-reachable code).
-  std::vector<std::string> fault_dirs = {"src/core/",   "src/storage/",
-                                         "src/shard/",  "src/varsize/",
-                                         "src/ingest/", "src/tune/"};
+  std::vector<std::string> fault_dirs = {"src/core/",  "src/storage/",
+                                         "src/shard/", "src/varsize/",
+                                         "src/ingest/"};
 
   // no-naked-mutex exemptions inside strict_dirs: the annotated wrapper
   // itself and the deadlock detector legitimately hold std primitives.
