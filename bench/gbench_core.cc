@@ -86,9 +86,10 @@ void BM_PageFileAccess(benchmark::State& state) {
     file.set_fault_policy(std::make_shared<FaultPolicy>());
   }
   Rng rng(12);
+  Page scratch;
   for (auto _ : state) {
     const Address a = static_cast<Address>(rng.Uniform(4096)) + 1;
-    benchmark::DoNotOptimize(file.TryRead(a));
+    benchmark::DoNotOptimize(file.TryRead(a, &scratch));
   }
   state.SetItemsProcessed(state.iterations());
 }

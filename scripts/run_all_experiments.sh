@@ -16,10 +16,8 @@
 #   BENCH_ingest.json ingest_sweep (E18: staged vs unstaged write bursts,
 #                     physical writes / seeks / drain-step certification,
 #                     single-file and sharded replay)
-#   BENCH_durable.json durable_sweep (E21: simulated vs MemoryBackend vs
-#                     FileBackend buffered/noverify/O_DIRECT — wall
-#                     time, preads/pwrites/fdatasyncs, identical
-#                     accounted IoStats in every row)
+# The end-to-end numbers on the real FileBackend come from the ledger
+# benchmark instead: python3 bench/ledger/run.py (bench/ledger/README.md).
 #
 # With --sanitize, instead runs the sanitizer matrix: an
 # address,undefined build driving the fault-injection / crash-recovery /
@@ -58,7 +56,7 @@ fi
 if [[ "${1:-}" == "--bench" ]]; then
   cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench --target gbench_core shard_scaling cache_sweep \
-    obs_certify ingest_sweep durable_sweep
+    obs_certify ingest_sweep
   ./build-bench/bench/gbench_core \
     --benchmark_format=json \
     --benchmark_min_time=0.2 > BENCH_core.json
@@ -66,9 +64,8 @@ if [[ "${1:-}" == "--bench" ]]; then
   ./build-bench/bench/cache_sweep --out=BENCH_cache.json
   ./build-bench/bench/obs_certify --out=BENCH_obs.json
   ./build-bench/bench/ingest_sweep --out=BENCH_ingest.json
-  ./build-bench/bench/durable_sweep --out=BENCH_durable.json
   echo "Wrote BENCH_core.json, BENCH_shard.json, BENCH_cache.json," \
-    "BENCH_obs.json, BENCH_ingest.json and BENCH_durable.json"
+    "BENCH_obs.json and BENCH_ingest.json"
   exit 0
 fi
 

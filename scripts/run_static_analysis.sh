@@ -20,8 +20,8 @@
 #                                         tests, where only this rule runs)
 #                    spankind-catalog     SpanKind enumerators unhandled in
 #                                         exporters
-#                    raw-page-io          PageFile::RawPage confined to
-#                                         src/storage/
+#                    raw-page-io          PageFile::RawRead/RawWrite
+#                                         confined to src/storage/
 #                    check-on-fault-path  no DSF_CHECK over a Status in
 #                                         fault-reachable code
 #                    no-naked-mutex       std:: lock primitives outside the

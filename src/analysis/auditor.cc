@@ -23,6 +23,8 @@ const char* AuditViolationKindToString(AuditViolationKind kind) {
       return "PageOverflow";
     case AuditViolationKind::kPageMalformed:
       return "PageMalformed";
+    case AuditViolationKind::kPageUnreadable:
+      return "PageUnreadable";
     case AuditViolationKind::kGlobalOrderViolation:
       return "GlobalOrderViolation";
     case AuditViolationKind::kBlockNotPrefixPacked:
@@ -367,14 +369,26 @@ AuditReport Auditor::AuditControl(const ControlBase& control,
   std::vector<BlockFacts> facts(static_cast<size_t>(control.num_blocks()));
   Key previous_key = 0;
   bool any_record = false;
+  Page scratch;
+  const Page unreadable;  // stands in for a page that failed to read
   for (Address block = 1; block <= control.num_blocks(); ++block) {
     BlockFacts& fact = facts[static_cast<size_t>(block - 1)];
     bool saw_empty = false;
     bool packed = true;
     for (int64_t i = 0; i < block_size; ++i) {
       const Address address = (block - 1) * block_size + 1 + i;
-      const Page& page = control.PeekLogical(address);
+      StatusOr<const Page*> loaded = control.PeekLogical(address, &scratch);
       ++report.pages_walked;
+      {
+        AuditViolation v = Make(AuditViolationKind::kPageUnreadable);
+        v.page = address;
+        v.block = block;
+        if (!loaded.ok()) v.detail = loaded.status().ToString();
+        check.Check(loaded.ok(), std::move(v));
+      }
+      // An unreadable page counts as empty below; its loss shows up as
+      // stale counters against the calibrator.
+      const Page& page = loaded.ok() ? **loaded : unreadable;
       {
         AuditViolation v = Make(AuditViolationKind::kPageMalformed);
         v.page = address;
@@ -536,7 +550,15 @@ AuditReport Auditor::AuditStaging(const Memtable& staging,
   // absent (staged-vs-file disjointness — a drained entry leaves the
   // buffer), kUpdate/kTombstone ⇔ the key is present.
   for (const StagedEntry& entry : entries) {
-    const bool durable = control.PeekContains(entry.record.key);
+    const StatusOr<bool> contains = control.PeekContains(entry.record.key);
+    {
+      AuditViolation v = Make(AuditViolationKind::kPageUnreadable);
+      v.found = static_cast<int64_t>(entry.record.key);
+      if (!contains.ok()) v.detail = contains.status().ToString();
+      check.Check(contains.ok(), std::move(v));
+    }
+    if (!contains.ok()) continue;
+    const bool durable = *contains;
     if (entry.kind == StagedEntry::Kind::kInsert) {
       AuditViolation v = Make(AuditViolationKind::kStagingDuplicateOfFile);
       v.found = static_cast<int64_t>(entry.record.key);

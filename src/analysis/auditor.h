@@ -45,6 +45,7 @@ enum class AuditViolationKind {
   kCapacityExceeded,      // N > d*M records in total
   kPageOverflow,          // a page holds more than D records
   kPageMalformed,         // records within a page not strictly ascending
+  kPageUnreadable,        // the page's device slot failed to read
   kGlobalOrderViolation,  // key order broken across page addresses
   kBlockNotPrefixPacked,  // macro-block content not in a page prefix
   // --- calibrator (Section 3) ---

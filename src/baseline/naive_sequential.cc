@@ -45,9 +45,18 @@ Address NaiveSequentialFile::PageForKey(Key key) const {
   return lo + 1;
 }
 
-void NaiveSequentialFile::RefreshFence(Address page) {
-  const Page& p = file_.Peek(page);
-  fences_[static_cast<size_t>(page - 1)] = p.empty() ? 0 : p.MaxKey();
+void NaiveSequentialFile::SetFence(Address page, const Record* begin,
+                                   const Record* end) {
+  fences_[static_cast<size_t>(page - 1)] = begin == end ? 0 : (end - 1)->key;
+}
+
+Status NaiveSequentialFile::WriteRecords(Address page,
+                                      const std::vector<Record>& records) {
+  const Record* begin = records.data();
+  const Record* end = begin + records.size();
+  DSF_RETURN_IF_ERROR(file_.TryWrite(page, begin, end));
+  SetFence(page, begin, end);
+  return Status::OK();
 }
 
 Status NaiveSequentialFile::BulkLoad(const std::vector<Record>& records) {
@@ -63,16 +72,12 @@ Status NaiveSequentialFile::BulkLoad(const std::vector<Record>& records) {
   }
   int64_t offset = 0;
   for (Address page = 1; page <= options_.num_pages; ++page) {
-    // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
-    Page& p = file_.RawPage(page);
-    p.TakeAll();
     const int64_t take = std::min(options_.page_capacity, n - offset);
-    if (take > 0) {
-      p.AppendHigh(std::vector<Record>(records.begin() + offset,
-                                       records.begin() + offset + take));
-      offset += take;
-    }
-    RefreshFence(page);
+    const Record* begin = records.data() + offset;
+    // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
+    DSF_RETURN_IF_ERROR(file_.RawWrite(page, begin, begin + take));
+    SetFence(page, begin, begin + take);
+    offset += take;
   }
   size_ = n;
   file_.ResetStats();
@@ -86,7 +91,8 @@ Status NaiveSequentialFile::Insert(const Record& record) {
   Address target = PageForKey(record.key);
   if (target == 0) target = std::max<int64_t>(1, UsedPages());
 
-  StatusOr<const Page*> read = file_.TryRead(target);
+  Page scratch;
+  StatusOr<const Page*> read = file_.TryRead(target, &scratch);
   DSF_RETURN_IF_ERROR(read.status());
   std::vector<Record> records = (*read)->records();
   const auto it = std::lower_bound(records.begin(), records.end(), record,
@@ -106,15 +112,11 @@ Status NaiveSequentialFile::Insert(const Record& record) {
       carry = records.back();
       records.pop_back();
     }
-    StatusOr<Page*> w = file_.TryWrite(cur);
-    DSF_RETURN_IF_ERROR(w.status());
-    (*w)->TakeAll();
-    (*w)->AppendHigh(records);
-    RefreshFence(cur);
+    DSF_RETURN_IF_ERROR(WriteRecords(cur, records));
     if (!carry.has_value()) break;
     ++cur;
     DSF_CHECK(cur <= options_.num_pages) << "ripple ran off the file";
-    StatusOr<const Page*> next = file_.TryRead(cur);
+    StatusOr<const Page*> next = file_.TryRead(cur, &scratch);
     DSF_RETURN_IF_ERROR(next.status());
     records = (*next)->records();
     records.insert(records.begin(), *carry);
@@ -127,7 +129,8 @@ Status NaiveSequentialFile::Insert(const Record& record) {
 Status NaiveSequentialFile::Delete(Key key) {
   const Address target = PageForKey(key);
   if (target == 0) return Status::NotFound("key absent");
-  StatusOr<const Page*> read = file_.TryRead(target);
+  Page scratch;
+  StatusOr<const Page*> read = file_.TryRead(target, &scratch);
   DSF_RETURN_IF_ERROR(read.status());
   std::vector<Record> records = (*read)->records();
   const auto it = std::lower_bound(records.begin(), records.end(),
@@ -141,22 +144,14 @@ Status NaiveSequentialFile::Delete(Key key) {
   // packing.
   const int64_t last_used = UsedPages();
   for (Address cur = target; cur < last_used; ++cur) {
-    StatusOr<const Page*> next_read = file_.TryRead(cur + 1);
+    StatusOr<const Page*> next_read = file_.TryRead(cur + 1, &scratch);
     DSF_RETURN_IF_ERROR(next_read.status());
     const std::vector<Record> next = (*next_read)->records();
     records.push_back(next.front());
-    StatusOr<Page*> w = file_.TryWrite(cur);
-    DSF_RETURN_IF_ERROR(w.status());
-    (*w)->TakeAll();
-    (*w)->AppendHigh(records);
-    RefreshFence(cur);
+    DSF_RETURN_IF_ERROR(WriteRecords(cur, records));
     records.assign(next.begin() + 1, next.end());
   }
-  StatusOr<Page*> w = file_.TryWrite(last_used);
-  DSF_RETURN_IF_ERROR(w.status());
-  (*w)->TakeAll();
-  (*w)->AppendHigh(records);
-  RefreshFence(last_used);
+  DSF_RETURN_IF_ERROR(WriteRecords(last_used, records));
   --size_;
   return Status::OK();
 }
@@ -164,7 +159,8 @@ Status NaiveSequentialFile::Delete(Key key) {
 StatusOr<Record> NaiveSequentialFile::Get(Key key) {
   const Address target = PageForKey(key);
   if (target == 0) return Status::NotFound("key absent");
-  StatusOr<const Page*> page = file_.TryRead(target);
+  Page scratch;
+  StatusOr<const Page*> page = file_.TryRead(target, &scratch);
   DSF_RETURN_IF_ERROR(page.status());
   return (*page)->Find(key);
 }
@@ -177,8 +173,9 @@ Status NaiveSequentialFile::Scan(Key lo, Key hi, std::vector<Record>* out) {
   Address page = PageForKey(lo);
   if (page == 0) return Status::OK();
   const int64_t used = UsedPages();
+  Page scratch;
   for (; page <= used; ++page) {
-    StatusOr<const Page*> p = file_.TryRead(page);
+    StatusOr<const Page*> p = file_.TryRead(page, &scratch);
     DSF_RETURN_IF_ERROR(p.status());
     for (const Record& r : (*p)->records()) {
       if (r.key < lo) continue;
@@ -198,8 +195,12 @@ StatusOr<std::vector<Record>> NaiveSequentialFile::ScanAll() {
 Status NaiveSequentialFile::ValidateInvariants() const {
   const int64_t used = UsedPages();
   int64_t total = 0;
+  Page scratch;
   for (Address page = 1; page <= options_.num_pages; ++page) {
-    const Page& p = file_.Peek(page);
+    // lint:allow(raw-page-io): the validator reads pages unaccounted.
+    StatusOr<const Page*> loaded = file_.RawRead(page, &scratch);
+    DSF_RETURN_IF_ERROR(loaded.status());
+    const Page& p = **loaded;
     if (page < used &&
         static_cast<int64_t>(p.size()) != options_.page_capacity) {
       return Status::Corruption("interior page not fully packed");
@@ -214,9 +215,9 @@ Status NaiveSequentialFile::ValidateInvariants() const {
     total += p.size();
   }
   if (total != size_) return Status::Corruption("size counter mismatch");
-  if (!file_.GloballyOrdered()) {
-    return Status::Corruption("records out of order");
-  }
+  StatusOr<bool> ordered = file_.GloballyOrdered();
+  DSF_RETURN_IF_ERROR(ordered.status());
+  if (!*ordered) return Status::Corruption("records out of order");
   return Status::OK();
 }
 

@@ -59,7 +59,10 @@ class NaiveSequentialFile {
   int64_t UsedPages() const;
   // Page (1-based) holding the first key >= `key`; 0 when key exceeds all.
   Address PageForKey(Key key) const;
-  void RefreshFence(Address page);
+  // The fence of `page` after it was written with [begin, end).
+  void SetFence(Address page, const Record* begin, const Record* end);
+  // Accounted whole-page write of `records`, keeping the fence in step.
+  Status WriteRecords(Address page, const std::vector<Record>& records);
 
   Options options_;
   PageFile file_;

@@ -280,11 +280,13 @@ Status Control2::Shift(int v) {
     }
     // DEST before SOURCE: until the source write lands, the moved records
     // exist in both blocks, so a crash between the writes duplicates them
-    // (CheckAndRepair dedupes) rather than losing them. The sync barrier
-    // extends the guarantee to durable storage: the duplicate copy is on
-    // the device before the delete can be — power loss cannot persist the
-    // delete alone. (No-op without a backend; under a pool the dirty-order
-    // flush at EndCommand enforces the same ordering.)
+    // (CheckAndRepair dedupes) rather than losing them. Unpooled, the sync
+    // barrier extends the guarantee to power loss: the duplicate copy is
+    // durable before the delete is issued. (No-op without a backend.)
+    // Pooled, both blocks are still dirty frames here; EndCommand's flush
+    // issues DEST before SOURCE, which a process kill preserves, but with
+    // no barrier between them — against power loss that order is not
+    // guaranteed (docs/STORAGE.md, "Barrier placement").
     DSF_RETURN_IF_ERROR(WriteBlock(dest, dest_records));
     DSF_RETURN_IF_ERROR(file_.SyncBarrier());
     DSF_RETURN_IF_ERROR(WriteBlock(source, src_records));

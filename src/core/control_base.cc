@@ -16,6 +16,7 @@ std::string RepairReport::ToString() const {
      << " dup_dropped=" << duplicate_records_dropped
      << " misordered=" << misordered_blocks << " overfull=" << overfull_pages
      << " packing=" << packing_violations
+     << " corrupt=" << corrupt_pages.size()
      << " rewrote=" << (rewrote_file ? "yes" : "no")
      << " flags_rebuilt=" << (warning_state_rebuilt ? "yes" : "no");
   return os.str();
@@ -73,26 +74,15 @@ ControlBase::ControlBase(const Config& config, DensitySpec logical_spec)
   }
 }
 
-const Page& ControlBase::PeekLogical(Address page) const {
+StatusOr<const Page*> ControlBase::PeekLogical(Address page,
+                                               Page* scratch) const {
   if (pool_ != nullptr) {
     const Page* frame = pool_->PeekFrame(page);
-    if (frame != nullptr) return *frame;
+    if (frame != nullptr) return frame;
   }
-  return file_.Peek(page);
-}
-
-bool ControlBase::LogicallyOrdered() const {
-  bool have_previous = false;
-  Key previous_max = 0;
-  for (Address p = 1; p <= file_.num_pages(); ++p) {
-    const Page& page = PeekLogical(p);
-    if (!page.WellFormed()) return false;
-    if (page.empty()) continue;
-    if (have_previous && page.MinKey() <= previous_max) return false;
-    previous_max = page.MaxKey();
-    have_previous = true;
-  }
-  return true;
+  // lint:allow(raw-page-io): the unaccounted logical view serves
+  // validators, the auditor and recovery, never online algorithm logic.
+  return file_.RawRead(page, scratch);
 }
 
 Status ControlBase::Flush() {
@@ -130,6 +120,9 @@ Status ControlBase::ReadBlockInto(Address block, std::vector<Record>* out) {
   const int64_t used = PagesUsed(count);
   const int64_t before = static_cast<int64_t>(out->size());
   const Address first = FirstPhysicalPage(block);
+  // Unpooled reads from a backend land in this call's own scratch, so
+  // shared-lock readers of one file never share a buffer.
+  Page scratch;
   for (int64_t i = 0; i < used; ++i) {
     if (pool_ != nullptr) {
       StatusOr<PageGuard> guard = pool_->PinRead(first + i, "ControlBase::ReadBlockInto");
@@ -137,7 +130,7 @@ Status ControlBase::ReadBlockInto(Address block, std::vector<Record>* out) {
       const std::vector<Record>& records = guard->page().records();
       out->insert(out->end(), records.begin(), records.end());
     } else {
-      StatusOr<const Page*> p = file_.TryRead(first + i);
+      StatusOr<const Page*> p = file_.TryRead(first + i, &scratch);
       DSF_RETURN_IF_ERROR(p.status());
       out->insert(out->end(), (*p)->records().begin(), (*p)->records().end());
     }
@@ -160,8 +153,10 @@ Status ControlBase::WriteBlock(Address block, const Record* begin,
   const Status s = WriteBlockPages(block, begin, end, order);
   if (!s.ok()) {
     // The device holds a mix of old and new pages; make the calibrator
-    // tell the truth about it before surfacing the error.
-    ResyncLeafFromRaw(block);
+    // tell the truth about it before surfacing the error. The write
+    // error wins: a resync that cannot read the device leaves a file
+    // that needs CheckAndRepair anyway, and that rebuilds every leaf.
+    IgnoreStatus(ResyncRangeFromRaw(block, block));
     return s;
   }
   const Calibrator::LeafUpdate u = MakeLeafUpdate(begin, end);
@@ -228,13 +223,10 @@ Status ControlBase::WriteBlockPages(Address block, const Record* begin,
       }
       guard->mutable_page()->AppendHigh(begin + offset, begin + offset + take);
     } else {
-      StatusOr<Page*> p = file_.TryWrite(first + i);
-      if (!p.ok()) {
-        fault = p.status();
-        break;
-      }
-      (*p)->Clear();
-      (*p)->AppendHigh(begin + offset, begin + offset + take);
+      // Content-passing write: the page is final when handed over, so a
+      // backend receives it before TryWrite returns.
+      fault = file_.TryWrite(first + i, begin + offset, begin + offset + take);
+      if (!fault.ok()) break;
     }
   }
   if (!fault.ok()) return fault;
@@ -248,40 +240,26 @@ Status ControlBase::WriteBlockPages(Address block, const Record* begin,
     } else {
       // lint:allow(raw-page-io): freed-tail clear is unaccounted device
       // maintenance per the accounting rule in storage/page_file.h.
-      file_.RawPage(first + i).Clear();
+      DSF_RETURN_IF_ERROR(file_.RawWrite(first + i, nullptr, nullptr));
     }
   }
   return Status::OK();
 }
 
-void ControlBase::ResyncLeafFromRaw(Address block) {
-  const Address first = FirstPhysicalPage(block);
-  int64_t count = 0;
-  Key min_key = 0;
-  Key max_key = 0;
-  for (int64_t i = 0; i < block_size_; ++i) {
-    const Page& page = PeekLogical(first + i);
-    if (page.empty()) continue;
-    // A torn block may interleave old and new pages, so the true extrema
-    // need a full scan of every record, not just the first/last page.
-    for (const Record& r : page.records()) {
-      if (count == 0 || r.key < min_key) min_key = r.key;
-      if (count == 0 || r.key > max_key) max_key = r.key;
-      ++count;
-    }
-  }
-  calibrator_.SyncLeaf(block, count, min_key, max_key);
-}
-
-void ControlBase::ResyncRangeFromRaw(Address lo, Address hi) {
+Status ControlBase::ResyncRangeFromRaw(Address lo, Address hi) {
   std::vector<Calibrator::LeafUpdate> leaves;
   leaves.reserve(static_cast<size_t>(hi - lo + 1));
+  Page scratch;
   for (Address block = lo; block <= hi; ++block) {
     const Address first = FirstPhysicalPage(block);
     Calibrator::LeafUpdate u;
     for (int64_t i = 0; i < block_size_; ++i) {
-      const Page& page = PeekLogical(first + i);
-      for (const Record& r : page.records()) {
+      StatusOr<const Page*> page = PeekLogical(first + i, &scratch);
+      DSF_RETURN_IF_ERROR(page.status());
+      // A torn block may interleave old and new pages, so the true
+      // extrema need a full scan of every record, not just the first
+      // and last page.
+      for (const Record& r : (*page)->records()) {
         if (u.count == 0 || r.key < u.min_key) u.min_key = r.key;
         if (u.count == 0 || r.key > u.max_key) u.max_key = r.key;
         ++u.count;
@@ -290,6 +268,21 @@ void ControlBase::ResyncRangeFromRaw(Address lo, Address hi) {
     leaves.push_back(u);
   }
   calibrator_.SyncLeaves(lo, leaves);
+  return Status::OK();
+}
+
+Status ControlBase::LayOutBlock(Address block, const Record* begin,
+                                const Record* end) {
+  const Address first = FirstPhysicalPage(block);
+  const int64_t n = end - begin;
+  for (int64_t i = 0; i < block_size_; ++i) {
+    const int64_t lo = std::min(n, i * page_D_);
+    const int64_t hi = std::min(n, lo + page_D_);
+    // lint:allow(raw-page-io): loading and recovery lay pages out
+    // unaccounted, outside the per-command cost model.
+    DSF_RETURN_IF_ERROR(file_.RawWrite(first + i, begin + lo, begin + hi));
+  }
+  return Status::OK();
 }
 
 void ControlBase::SyncBlock(Address block,
@@ -360,14 +353,17 @@ StatusOr<Record> ControlBase::Get(Key key) {
 
 bool ControlBase::Contains(Key key) { return Get(key).ok(); }
 
-bool ControlBase::PeekContains(Key key, Value* value) const {
+StatusOr<bool> ControlBase::PeekContains(Key key, Value* value) const {
   const Address block = BlockPossiblyContaining(key);
   if (block == 0) return false;
   const int leaf = calibrator_.LeafOf(block);
   const int64_t used = PagesUsed(calibrator_.Count(leaf));
   const Address first = FirstPhysicalPage(block);
+  Page scratch;
   for (int64_t i = 0; i < used; ++i) {
-    const Page& page = PeekLogical(first + i);
+    StatusOr<const Page*> loaded = PeekLogical(first + i, &scratch);
+    DSF_RETURN_IF_ERROR(loaded.status());
+    const Page& page = **loaded;
     if (page.empty() || page.MaxKey() < key) continue;
     if (page.MinKey() > key) return false;
     StatusOr<Record> r = page.Find(key);
@@ -527,7 +523,7 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
       offset = end;
     }
     if (!fault.ok()) {
-      ResyncRangeFromRaw(lo, hi);
+      IgnoreStatus(ResyncRangeFromRaw(lo, hi));  // the fault wins
       RecordSpan(SpanKind::kRedistribution, lo, hi,
                  file_.stats() - span_start);
       return fault;
@@ -566,7 +562,7 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
       leaves[static_cast<size_t>(idx)] = MakeLeafUpdate(b, e);
     }
     if (!fault.ok()) {
-      ResyncRangeFromRaw(lo, hi);
+      IgnoreStatus(ResyncRangeFromRaw(lo, hi));  // the fault wins
       RecordSpan(SpanKind::kRedistribution, lo, hi,
                  file_.stats() - span_start);
       return fault;
@@ -603,9 +599,9 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   // that was open when the fault hit is over.
   defer_flush_ = false;
 
-  // Phase 1 — CHECK. One unaccounted pass over the raw pages (recovery
-  // is an offline scan of the device, outside the per-command cost
-  // model). Gather per-block truth and look for crash damage: overfull
+  // Phase 1 — CHECK. One unaccounted pass over the device (recovery is
+  // an offline scan, outside the per-command cost model). Gather
+  // per-block truth and look for crash damage: torn slots, overfull
   // pages, blocks not packed into a page prefix, broken global order or
   // torn-shift duplicates, stale calibrator leaves.
   std::vector<Calibrator::LeafUpdate> leaves(
@@ -613,6 +609,7 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   bool content_clean = true;
   bool have_prev = false;
   Key prev_max = 0;
+  Page scratch;
   for (Address block = 1; block <= num_blocks_; ++block) {
     ++report.blocks_scanned;
     Calibrator::LeafUpdate& u = leaves[static_cast<size_t>(block - 1)];
@@ -620,7 +617,22 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
     bool saw_empty = false;
     bool block_ordered = true;
     for (int64_t i = 0; i < block_size_; ++i) {
-      const Page& page = file_.Peek(first + i);
+      // lint:allow(raw-page-io): recovery reads the device unaccounted.
+      StatusOr<const Page*> loaded = file_.RawRead(first + i, &scratch);
+      if (!loaded.ok()) {
+        if (!loaded.status().IsIoError()) return loaded.status();
+        // A torn or corrupt slot: its records are lost. Quarantine it
+        // durably — rewrite it empty — so the next open reads a valid
+        // slot instead of tripping on the same checksum again; the
+        // cheap path below never rewrites pages, so detection itself
+        // must persist the verdict (the final barrier makes it durable).
+        // lint:allow(raw-page-io): quarantine is recovery bookkeeping.
+        DSF_RETURN_IF_ERROR(file_.RawWrite(first + i, nullptr, nullptr));
+        report.corrupt_pages.push_back(first + i);
+        saw_empty = true;
+        continue;
+      }
+      const Page& page = **loaded;
       if (page.empty()) {
         saw_empty = true;
         continue;
@@ -662,9 +674,8 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
     calibrator_.SyncLeaves(1, leaves);
     AfterWholesaleReorganization();
     report.warning_state_rebuilt = true;
-    // Nothing was rewritten, but a reopen may have left pending device
-    // state (e.g. the attach-time load found nothing to fix); the
-    // barrier is a cheap no-op then.
+    // Nothing was rewritten except quarantined slots, which the barrier
+    // makes durable (a cheap no-op when there were none).
     if (ValidateInvariants().ok()) {
       DSF_RETURN_IF_ERROR(file_.SyncBarrier());
       return report;
@@ -680,11 +691,14 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   // pack-then-spread redistribution; docs/FAULTS.md) guarantee duplicate
   // copies of a key carry identical payloads, so which copy survives is
   // immaterial. Then rewrite at uniform density — Theorem 5.5's initial
-  // condition — via RawPage: recovery I/O is offline and unaccounted.
+  // condition — unaccounted: recovery I/O is offline.
   std::vector<Record> all;
   for (Address p = 1; p <= file_.num_pages(); ++p) {
-    const Page& page = file_.Peek(p);
-    all.insert(all.end(), page.records().begin(), page.records().end());
+    // lint:allow(raw-page-io): recovery reads the device unaccounted.
+    StatusOr<const Page*> loaded = file_.RawRead(p, &scratch);
+    DSF_RETURN_IF_ERROR(loaded.status());
+    all.insert(all.end(), (*loaded)->records().begin(),
+               (*loaded)->records().end());
   }
   std::stable_sort(all.begin(), all.end(), RecordKeyLess);
   const auto unique_end =
@@ -700,18 +714,7 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
     const int64_t end = block * n / num_blocks_;
     const Record* blo = all.data() + offset;
     const Record* bhi = all.data() + end;
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): recovery rewrite is offline, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (bhi - blo) - written);
-      if (take > 0) {
-        page.AppendHigh(blo + written, blo + written + take);
-        written += take;
-      }
-    }
+    DSF_RETURN_IF_ERROR(LayOutBlock(block, blo, bhi));
     leaves[static_cast<size_t>(block - 1)] = MakeLeafUpdate(blo, bhi);
     offset = end;
   }
@@ -897,21 +900,16 @@ Status ControlBase::ValidateInvariants() const {
   if (calibrator_.TotalRecords() > MaxRecords()) {
     return Status::Corruption("file exceeds N = d*M records");
   }
-  // I2: no physical page above D records (outside a command). Pooled,
-  // the logical view (dirty frames over device pages) is what must hold;
-  // the device may lag by the unflushed tail of the in-flight command.
-  for (Address p = 1; p <= file_.num_pages(); ++p) {
-    if (PeekLogical(p).size() > page_D_) {
-      return Status::Corruption("page " + std::to_string(p) +
-                                " holds more than D records");
-    }
-  }
-  // I3: global key order.
-  if (!LogicallyOrdered()) {
-    return Status::Corruption("records out of sequential order");
-  }
-  // I5: calibrator leaves mirror the true block contents, and each block
-  // is packed into a prefix of its pages.
+  // One walk over the logical view checks every page for I2 (no page
+  // above D records outside a command) and I3 (global key order), and
+  // every block for I5 (calibrator leaves mirror the true block
+  // contents, and each block is packed into a prefix of its pages).
+  // Pooled, the logical view (dirty frames over device pages) is what
+  // must hold; the device may lag by the unflushed tail of the in-flight
+  // command.
+  Page scratch;
+  bool have_previous = false;
+  Key previous_max = 0;
   for (Address block = 1; block <= num_blocks_; ++block) {
     const Address first = FirstPhysicalPage(block);
     int64_t count = 0;
@@ -919,7 +917,17 @@ Status ControlBase::ValidateInvariants() const {
     Key max_key = 0;
     bool saw_empty = false;
     for (int64_t i = 0; i < block_size_; ++i) {
-      const Page& page = PeekLogical(first + i);
+      StatusOr<const Page*> loaded = PeekLogical(first + i, &scratch);
+      DSF_RETURN_IF_ERROR(loaded.status());
+      const Page& page = **loaded;
+      if (page.size() > page_D_) {
+        return Status::Corruption("page " + std::to_string(first + i) +
+                                  " holds more than D records");
+      }
+      if (!page.WellFormed() ||
+          (have_previous && !page.empty() && page.MinKey() <= previous_max)) {
+        return Status::Corruption("records out of sequential order");
+      }
       if (page.empty()) {
         saw_empty = true;
         continue;
@@ -928,6 +936,8 @@ Status ControlBase::ValidateInvariants() const {
         return Status::Corruption("block " + std::to_string(block) +
                                   " is not prefix-packed");
       }
+      previous_max = page.MaxKey();
+      have_previous = true;
       if (count == 0) min_key = page.MinKey();
       max_key = page.MaxKey();
       count += page.size();
@@ -971,18 +981,7 @@ Status ControlBase::BulkLoad(const std::vector<Record>& records) {
     const Record* lo = records.data() + offset;
     const Record* hi = records.data() + end;
     // Lay out unaccounted: loading is setup, not a measured command.
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (hi - lo) - written);
-      if (take > 0) {
-        page.AppendHigh(lo + written, lo + written + take);
-        written += take;
-      }
-    }
+    DSF_RETURN_IF_ERROR(LayOutBlock(block, lo, hi));
     leaves.push_back(MakeLeafUpdate(lo, hi));
     offset = end;
   }
@@ -1027,18 +1026,7 @@ Status ControlBase::LoadLayout(const std::vector<std::vector<Record>>& per_block
         per_block[static_cast<size_t>(block - 1)];
     const Record* lo = slice.data();
     const Record* hi = slice.data() + slice.size();
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): layout loading is setup, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (hi - lo) - written);
-      if (take > 0) {
-        page.AppendHigh(lo + written, lo + written + take);
-        written += take;
-      }
-    }
+    DSF_RETURN_IF_ERROR(LayOutBlock(block, lo, hi));
     leaves.push_back(MakeLeafUpdate(lo, hi));
   }
   calibrator_.SyncLeaves(1, leaves);

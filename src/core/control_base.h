@@ -45,13 +45,16 @@ struct RepairReport {
   int64_t misordered_blocks = 0;     // blocks breaking global key order
   int64_t overfull_pages = 0;        // pages holding more than D records
   int64_t packing_violations = 0;    // blocks not prefix-packed
+  // Pages whose device slot failed its integrity check (torn or corrupt
+  // write). Their records are lost; each slot was rewritten empty.
+  std::vector<Address> corrupt_pages;
   bool rewrote_file = false;         // wholesale uniform rewrite performed
   bool warning_state_rebuilt = false;  // algorithm flags rebuilt from scratch
 
   bool AnythingRepaired() const {
     return calibrator_resyncs > 0 || duplicate_records_dropped > 0 ||
            misordered_blocks > 0 || overfull_pages > 0 ||
-           packing_violations > 0 || rewrote_file;
+           packing_violations > 0 || !corrupt_pages.empty() || rewrote_file;
   }
   std::string ToString() const;
 };
@@ -152,7 +155,9 @@ class ControlBase {
   // is an offline pass over the device, outside the paper's per-command
   // cost model), rebuilds the calibrator's N_v rank counters and fence
   // keys bottom-up, and clears stale algorithm state (WARNING flags,
-  // DEST/SOURCE pointers) via AfterWholesaleReorganization.
+  // DEST/SOURCE pointers) via AfterWholesaleReorganization. A backend
+  // slot that fails its integrity check is quarantined: rewritten empty
+  // (durably) and reported in corrupt_pages.
   //
   // Cheap path: if the page contents are still globally ordered,
   // duplicate-free, prefix-packed and within page capacity, only the
@@ -189,14 +194,13 @@ class ControlBase {
   // of a simulated crash. The device is left as the last flush left it;
   // callers must follow with CheckAndRepair to re-sync in-memory state.
   void DiscardCache();
-  // Attaches a durable storage backend behind the page file and loads
-  // its device image as the working image (see PageFile::AttachBackend).
-  // When the backend held existing data — a reopen — the caller must
-  // follow with CheckAndRepair: the calibrator and warning state are
-  // in-memory structures that died with the previous process, and any
-  // unreadable device pages (file().corrupt_pages_at_open()) need the
-  // repair pass. Attach before loading or mutating data, so every write
-  // reaches the device.
+  // Makes a durable storage backend the page file's device (see
+  // PageFile::AttachBackend); from then on the pool frames are the only
+  // pages in memory. When the backend held existing data — a reopen —
+  // the caller must follow with CheckAndRepair: the calibrator and
+  // warning state are in-memory structures that died with the previous
+  // process, and torn slots need the quarantine. Attach before loading
+  // or mutating data, so every write reaches the device.
   Status AttachStorageBackend(std::unique_ptr<StorageBackend> backend);
   const Calibrator& calibrator() const { return calibrator_; }
   int64_t page_d() const { return page_d_; }
@@ -219,16 +223,17 @@ class ControlBase {
                                 const std::string& label = "");
 
   // The page as the algorithms see it: the resident dirty/clean frame
-  // when pooled, the device page otherwise. Unaccounted; for validators,
-  // the invariant auditor (analysis/auditor.h) and resync.
-  const Page& PeekLogical(Address page) const;
+  // when pooled, the device page otherwise (read into `scratch` when a
+  // backend is attached; see PageFile::RawRead). Unaccounted; for
+  // validators, the invariant auditor (analysis/auditor.h) and resync.
+  StatusOr<const Page*> PeekLogical(Address page, Page* scratch) const;
 
   // Unaccounted point lookup over the logical view (resident frames
   // first, device pages otherwise). Outside the paper's cost model — for
   // the staging layer's membership checks during crash reconciliation and
   // the invariant auditor, never for serving reads. Fills *value when the
   // key is present and value is non-null.
-  bool PeekContains(Key key, Value* value = nullptr) const;
+  StatusOr<bool> PeekContains(Key key, Value* value = nullptr) const;
 
   // --- Ingest drain support (core/dense_file.cc; docs/INGEST.md) ---
   // Between BeginFlushDeferral and EndFlushDeferral, EndCommand skips its
@@ -258,9 +263,10 @@ class ControlBase {
   // outside tests/auditor_test.cc.
   Calibrator& mutable_calibrator_for_testing() { return calibrator_; }
 
-  // Structural invariants I1-I3 and I5. Subclasses extend with their
-  // algorithm-specific checks — BALANCE(d,D) for CONTROL 1/2 (Theorem
-  // 5.5), flag/pointer sanity for CONTROL 2. O(M); for tests/debugging.
+  // Structural invariants I1-I3 and I5, in one walk over the pages.
+  // Subclasses extend with their algorithm-specific checks — BALANCE(d,D)
+  // for CONTROL 1/2 (Theorem 5.5), flag/pointer sanity for CONTROL 2.
+  // O(M) unaccounted reads; for tests, debugging and post-repair checks.
   virtual Status ValidateInvariants() const;
 
   // Loads `records` (strictly ascending keys, size <= d*M) spread with
@@ -385,16 +391,12 @@ class ControlBase {
   // Costs 2x the writes of a one-pass rewrite; same asymptotics.
   Status RedistributeRangeCrashSafe(Address lo, Address hi);
 
-  // Rebuilds the calibrator leaf of `block` from the logical page
-  // contents — cached frame if resident, device page otherwise
-  // (unaccounted). Called after a failed block write so the in-memory
-  // tree matches whatever the store actually holds.
-  void ResyncLeafFromRaw(Address block);
-  // Same for every block in [lo, hi], with one batched SyncLeaves.
-  void ResyncRangeFromRaw(Address lo, Address hi);
-
-  // PageFile::GloballyOrdered over the logical view.
-  bool LogicallyOrdered() const;
+  // Rebuilds the calibrator leaves of blocks [lo, hi] from the logical
+  // page contents — cached frame if resident, device page otherwise
+  // (unaccounted) — with one batched SyncLeaves. Called after a failed
+  // block write so the in-memory tree matches whatever the store
+  // actually holds.
+  Status ResyncRangeFromRaw(Address lo, Address hi);
 
  private:
   friend class Cursor;
@@ -409,6 +411,9 @@ class ControlBase {
     return (block - 1) * block_size_ + 1;
   }
   void SyncBlock(Address block, const std::vector<Record>& records);
+  // Lays [begin, end) into `block`'s pages, D per page, with unaccounted
+  // RawWrites (loading and repair; no calibrator update).
+  Status LayOutBlock(Address block, const Record* begin, const Record* end);
   // Writes the pages of `block` without syncing the calibrator. Callers
   // must follow up with SyncBlock or one batched Calibrator::SyncLeaves
   // covering every block written this way, before the next read. On a

@@ -280,11 +280,10 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Open(const Options& options) {
   StatusOr<std::unique_ptr<DenseFile>> file_or = Create(options);
   DSF_RETURN_IF_ERROR(file_or.status());
   std::unique_ptr<DenseFile> file = std::move(file_or).value();
-  // Create attached the backend and loaded the device image into the
-  // working pages; the calibrator and warning state are still empty.
-  // The repair pass rebuilds them and fixes crash damage — including
-  // dropping records from slots that failed their checksum (recorded in
-  // corrupt_pages_at_open()).
+  // Create attached the backend; the calibrator and warning state are
+  // still empty. The repair pass reads the device, rebuilds them and
+  // fixes crash damage — including dropping records from slots that
+  // failed their checksum (recorded in corrupt_pages_at_open()).
   StatusOr<RepairReport> report = file->CheckAndRepair();
   DSF_RETURN_IF_ERROR(report.status());
   file->open_repair_report_ = *report;
@@ -520,11 +519,13 @@ void DenseFile::DiscardStaging() {
   SyncStagingGauge();
 }
 
-void DenseFile::ReconcileStagingWithFile() {
+Status DenseFile::ReconcileStagingWithFile() {
   std::vector<Key> drop;
   std::vector<Key> demote;  // kUpdate whose delete half committed
   for (const StagedEntry& entry : staging_->entries()) {
-    const bool durable = control_->PeekContains(entry.record.key);
+    StatusOr<bool> contains = control_->PeekContains(entry.record.key);
+    DSF_RETURN_IF_ERROR(contains.status());
+    const bool durable = *contains;
     switch (entry.kind) {
       case StagedEntry::Kind::kInsert:
         // The interrupted step committed it (staged and durable values
@@ -545,6 +546,7 @@ void DenseFile::ReconcileStagingWithFile() {
     staging_->Reassign(key, entry->record, StagedEntry::Kind::kInsert);
   }
   SyncStagingGauge();
+  return Status::OK();
 }
 
 StagingStats DenseFile::staging_stats() const {
@@ -647,7 +649,7 @@ StatusOr<RepairReport> DenseFile::CheckAndRepair() {
   // An interrupted drain step may have committed a staged prefix (or the
   // delete half of an update); re-classify what is still staged against
   // the repaired file so the kind invariants hold before the audit.
-  if (staging_ != nullptr) ReconcileStagingWithFile();
+  if (staging_ != nullptr) DSF_RETURN_IF_ERROR(ReconcileStagingWithFile());
   // Post-repair state must be auditor-certified, not merely
   // ValidateInvariants-clean (the repair path already guarantees the
   // latter).

@@ -93,10 +93,12 @@ class DenseFile {
     // --- Durable storage (src/storage/; see docs/STORAGE.md) ---
     // Factory for the durable device behind the page file, called once
     // at Create with the file's physical geometry (num_pages, page
-    // capacity D+1). The backend is attached before any data lands, so
-    // every device write is persisted in crash-safe order and fdatasync
-    // barriers fire at the documented durability points. Null (the
-    // default) keeps the file a pure in-memory simulation. Use
+    // capacity D+1). The backend is attached before any data lands and
+    // becomes the only home of the pages: the buffer pool's frames are
+    // the pages in memory, every device write is persisted in crash-safe
+    // order, and fdatasync barriers fire at the documented durability
+    // points. Null (the default) keeps the file a pure in-memory
+    // simulation. Use
     // FileBackend::CreateFactory for a fresh file pair and
     // DenseFile::Open + FileBackend::OpenFactory to reopen one.
     StorageBackendFactory backend_factory;
@@ -124,14 +126,16 @@ class DenseFile {
   };
 
   // Validates options and builds the file. All pages start empty (with a
-  // backend_factory that loads existing data, the working image holds it
-  // but the in-memory calibrator does not — use Open for that path).
+  // backend_factory that opens existing data, the device holds it but
+  // the in-memory calibrator does not — use Open for that path).
   static StatusOr<std::unique_ptr<DenseFile>> Create(const Options& options);
 
   // The reopen path: Create with a data-bearing backend (e.g.
   // FileBackend::OpenFactory), then CheckAndRepair to rebuild the
-  // calibrator and warning state from the loaded pages and repair any
-  // crash damage (torn-shift duplicates, unreadable pages). Requires
+  // calibrator and warning state from the device pages and repair any
+  // crash damage (torn-shift duplicates, unreadable pages). The open
+  // reads each slot at most twice (the check pass and the invariant
+  // walk). Requires
   // options.backend_factory. What the repair pass found is kept on the
   // file: open_repair_report().
   static StatusOr<std::unique_ptr<DenseFile>> Open(const Options& options);
@@ -334,10 +338,11 @@ class DenseFile {
   const RepairReport& open_repair_report() const {
     return open_repair_report_;
   }
-  // Pages whose device slot failed integrity checks when the backend was
-  // attached (their records were dropped by the open-time repair).
+  // Pages whose device slot failed integrity checks at Open (their
+  // records were dropped and the slots quarantined by the open-time
+  // repair).
   const std::vector<Address>& corrupt_pages_at_open() const {
-    return control_->file().corrupt_pages_at_open();
+    return open_repair_report_.corrupt_pages;
   }
 
   // The options the file was created with (block_size resolved).
@@ -393,7 +398,7 @@ class DenseFile {
   // have committed some entries (or the delete half of an update);
   // re-classify every staged entry against the repaired file so the
   // kind invariants hold again. Unaccounted (PeekContains).
-  void ReconcileStagingWithFile();
+  Status ReconcileStagingWithFile();
   void BumpPut();
   // Const: shared-lock readers bump the hit counter concurrently, so it
   // lives in an atomic (staging_hits_) merged into staging_stats().

@@ -124,12 +124,14 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
   Frame& f = frames_[static_cast<size_t>(index)];
   DSF_DCHECK(f.address == 0 && !f.dirty && f.pins == 0);
   if (load) {
-    StatusOr<const Page*> device = file_->TryDeviceRead(address);
+    // With a backend the device read lands in the frame itself; the
+    // simulated device hands back its own page, which is copied in.
+    StatusOr<const Page*> device = file_->TryDeviceRead(address, &f.page);
     if (!device.ok()) {
       free_frames_.push_back(index);
       return device.status();
     }
-    f.page = **device;
+    if (*device != &f.page) f.page = **device;
   } else {
     f.page.Clear();
   }
@@ -175,31 +177,11 @@ StatusOr<int64_t> BufferPool::EvictFrame() {
   }
   if (frames_[static_cast<size_t>(victim)].dirty) {
     // Evicting a dirty frame must not reorder writes: flush the dirty
-    // prefix through the victim so its content lands in order.
-    Status flushed = FlushPrefixThrough(victim);
-    if (flushed.code() == StatusCode::kFailedPrecondition) {
-      // A concurrent shared reader holds a pin on some frame in the
-      // dirty prefix (legal under docs/CONCURRENCY.md — read pins on
-      // dirty frames are ordinary when readers share the shard lock).
-      // The write order must not bend around it, so fall back to a
-      // clean unpinned victim instead of failing the read; only when
-      // every unpinned frame is dirty-and-blocked does the error
-      // propagate.
-      int64_t clean = -1;
-      int64_t best_tick = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const Frame& g = frames_[static_cast<size_t>(i)];
-        if (g.address == 0 || g.pins > 0 || g.dirty) continue;
-        if (clean < 0 || g.lru_tick < best_tick) {
-          clean = i;
-          best_tick = g.lru_tick;
-        }
-      }
-      if (clean < 0) return flushed;
-      victim = clean;
-    } else {
-      DSF_RETURN_IF_ERROR(flushed);
-    }
+    // prefix through the victim so its content lands in order. Frames in
+    // that prefix may be read-pinned by concurrent shared readers (legal
+    // under docs/CONCURRENCY.md: a drain window keeps frames dirty across
+    // commands); FlushFrame writes those back in place.
+    DSF_RETURN_IF_ERROR(FlushPrefixThrough(victim));
   }
   Frame& f = frames_[static_cast<size_t>(victim)];
   resident_.erase(f.address);
@@ -248,22 +230,24 @@ void BufferPool::RecordPin(int64_t frame, const char* owner, bool write) {
 Status BufferPool::FlushFrame(int64_t frame) {
   Frame& f = frames_[static_cast<size_t>(frame)];
   DSF_DCHECK(f.dirty) << "FlushFrame on clean frame";
-  if (f.pins > 0) {
-    // Never write back a pinned frame (the holder may be mid-mutation).
-    // Reached only on API misuse (two overlapping write guards forcing a
-    // prefix flush through each other); fail soft rather than abort.
-    return Status::FailedPrecondition("flush of pinned frame " +
+  if ((f.version & 1) != 0) {
+    // Never write back a frame under a write guard (the holder may be
+    // mid-mutation). Reached only on API misuse (two overlapping write
+    // guards forcing a prefix flush through each other); fail soft
+    // rather than abort. Read guards do not block write-back: a shared
+    // reader copies the page out and never changes it.
+    return Status::FailedPrecondition("flush of write-pinned frame " +
                                       std::to_string(f.address));
   }
   if (f.free_write) {
     // Unaccounted layout bookkeeping, matching the unpooled path where
-    // freed tail pages are cleared via RawPage.
-    file_->RawPage(f.address).Clear();
+    // freed tail pages are cleared via RawWrite.
+    DSF_RETURN_IF_ERROR(file_->RawWrite(f.address, nullptr, nullptr));
     ++stats_.free_writes;
   } else {
-    StatusOr<Page*> device = file_->TryDeviceWrite(f.address);
-    if (!device.ok()) return device.status();
-    **device = f.page;
+    const std::vector<Record>& records = f.page.records();
+    DSF_RETURN_IF_ERROR(file_->TryDeviceWrite(
+        f.address, records.data(), records.data() + records.size()));
     ++stats_.writebacks;
     if (m_writebacks_ != nullptr) m_writebacks_->Increment();
   }
@@ -513,7 +497,7 @@ StatusOr<PageGuard> BufferPool::PinForRewrite(Address address,
 }
 
 Status BufferPool::MarkFree(Address address) {
-  // Unaccounted (parity with the unpooled RawPage clear), but ordered:
+  // Unaccounted (parity with the unpooled RawWrite clear), but ordered:
   // the clear rides L so it cannot overtake the in-cache writes that
   // moved this page's records elsewhere.
   MutexLock lock(mu_);

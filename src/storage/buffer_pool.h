@@ -6,12 +6,17 @@
 // transfers the device actually serves (IoStats carries both). Frames
 // hold private copies of pages; reads are served from a resident frame
 // when possible (a hit costs no device traffic), writes dirty the frame
-// and reach the device only at flush or eviction.
+// and reach the device only at flush or eviction. With a StorageBackend
+// attached the frames are the only pages in memory: a miss reads the
+// device straight into the frame, and write-back hands the frame to the
+// device (storage/page_file.h).
 //
 // Pinning. Every access hands out a PageGuard that pins the frame for
-// its lifetime; pinned frames are never evicted or written back. When
-// all frames are pinned and another page is requested the pool returns
-// kResourceExhausted — it never aborts.
+// its lifetime; pinned frames are never evicted, and a frame under a
+// write guard is never written back (a read-pinned dirty frame is: its
+// reader does not change it). When all frames are pinned and another
+// page is requested the pool returns kResourceExhausted — it never
+// aborts.
 //
 // Crash-safe write-back order. The crash-recovery discipline (see
 // docs/FAULTS.md) relies on write *order*: SHIFT duplicates a block at
@@ -72,8 +77,8 @@
 // Freed-page bookkeeping. When a macro-block shrinks, its freed tail
 // pages must end up empty on the device. MarkFree() enqueues that clear
 // through L like any write (so it cannot overtake the writes that moved
-// the records out), but the device clear itself is unaccounted RawPage
-// bookkeeping, matching the unpooled path.
+// the records out), but the device clear itself is an unaccounted
+// RawWrite, matching the unpooled path.
 //
 // Thread safety. The pool's bookkeeping structures (resident map, dirty
 // list, free list, stats) are guarded by an internal mutex, annotated

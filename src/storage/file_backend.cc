@@ -10,9 +10,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "util/crc32c.h"
 #include "util/check.h"
@@ -23,6 +26,10 @@ namespace {
 constexpr int64_t kAlign = 4096;
 constexpr int64_t kSlotHeaderBytes = 16;   // {count u64, crc u32, reserved u32}
 constexpr int64_t kRecordBytes = 16;       // {key u64, value u64}
+static_assert(static_cast<int64_t>(sizeof(Record)) == kRecordBytes &&
+                  offsetof(Record, key) == 0 && offsetof(Record, value) == 8 &&
+                  std::is_trivially_copyable_v<Record>,
+              "slot bodies are copied to and from Record arrays as bytes");
 constexpr int64_t kSuperblockBytes = 4096;
 constexpr char kMagic[8] = {'D', 'S', 'F', 'S', 'U', 'P', 'E', 'R'};
 
@@ -126,18 +133,29 @@ unsigned char* AllocAligned(int64_t n) {
   return static_cast<unsigned char*>(p);
 }
 
-// Per-thread read scratch, sized on demand. ReadPage runs concurrently
-// under shared-lock readers; a thread_local keeps it allocation-free on
-// the steady path without a lock.
+// Per-thread read scratch, sized on demand and freed at thread exit.
+// ReadPage runs concurrently under shared-lock readers; a thread_local
+// keeps it allocation-free on the steady path without a lock.
 unsigned char* ThreadReadBuf(int64_t n) {
-  thread_local unsigned char* buf = nullptr;
-  thread_local int64_t cap = 0;
-  if (cap < n) {
-    std::free(buf);
-    buf = AllocAligned(n);
-    cap = buf != nullptr ? n : 0;
+  struct Buffer {
+    unsigned char* data = nullptr;
+    int64_t capacity = 0;
+    ~Buffer() { std::free(data); }
+  };
+  thread_local Buffer buf;
+  if (buf.capacity < n) {
+    std::free(buf.data);
+    buf.data = AllocAligned(n);
+    buf.capacity = buf.data != nullptr ? n : 0;
   }
-  return buf;
+  return buf.data;
+}
+
+// Per-thread record buffer that DeserializeSlot decodes a slot body into
+// before validating it and handing it to the page.
+std::vector<Record>& ThreadDecodeBuf() {
+  thread_local std::vector<Record> records;
+  return records;
 }
 
 // Opens the data file, attempting O_DIRECT when asked and falling back
@@ -275,19 +293,22 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Open(
 }
 
 void FileBackend::SerializeSlot(const Page& page, unsigned char* slot) const {
-  std::memset(slot, 0, static_cast<size_t>(slot_bytes_));
-  const auto& records = page.records();
-  PutU64(slot, 0, static_cast<uint64_t>(records.size()));
+  const std::vector<Record>& records = page.records();
+  const size_t body_bytes = records.size() * kRecordBytes;
   unsigned char* body = slot + kSlotHeaderBytes;
-  for (size_t i = 0; i < records.size(); ++i) {
-    PutU64(body, i * kRecordBytes, records[i].key);
-    PutU64(body, i * kRecordBytes + 8, records[i].value);
-  }
+  PutU64(slot, 0, static_cast<uint64_t>(records.size()));
+  PutU32(slot, 12, 0);  // reserved
+  // A record's slot bytes are {key u64, value u64} host-endian: exactly
+  // the in-memory layout of Record, so the body is one copy.
+  if (body_bytes > 0) std::memcpy(body, records.data(), body_bytes);
+  std::memset(body + body_bytes, 0,
+              static_cast<size_t>(slot_bytes_ - kSlotHeaderBytes) -
+                  body_bytes);
   // CRC over the count and the record bytes (the crc field itself and
   // the zero fill are excluded; a fully zero slot stays CRC-free so
   // ftruncate holes read as valid empty pages).
   uint32_t crc = Crc32cExtend(0, slot, 8);
-  crc = Crc32cExtend(crc, body, records.size() * kRecordBytes);
+  crc = Crc32cExtend(crc, body, body_bytes);
   PutU32(slot, 8, crc);
 }
 
@@ -306,27 +327,27 @@ Status FileBackend::DeserializeSlot(Address address,
                            std::to_string(page_capacity_));
   }
   const unsigned char* body = slot + kSlotHeaderBytes;
+  const size_t body_bytes = static_cast<size_t>(count) * kRecordBytes;
   uint32_t crc = Crc32cExtend(0, slot, 8);
-  crc = Crc32cExtend(crc, body, static_cast<size_t>(count) * kRecordBytes);
+  crc = Crc32cExtend(crc, body, body_bytes);
   if (crc != stored_crc) {
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
     return Status::IoError("page " + std::to_string(address) +
                            ": slot checksum mismatch (torn or corrupt write)");
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    Record r;
-    r.key = GetU64(body, static_cast<size_t>(i) * kRecordBytes);
-    r.value = GetU64(body, static_cast<size_t>(i) * kRecordBytes + 8);
+  std::vector<Record>& records = ThreadDecodeBuf();
+  records.resize(static_cast<size_t>(count));
+  if (body_bytes > 0) std::memcpy(records.data(), body, body_bytes);
+  for (size_t i = 1; i < records.size(); ++i) {
     // The CRC matched, so a key-order violation means the slot was
     // written malformed, not torn — still kIoError, the page is unusable.
-    if (i > 0 && r.key <= out->MaxKey()) {
-      out->Clear();
+    if (records[i].key <= records[i - 1].key) {
       crc_failures_.fetch_add(1, std::memory_order_relaxed);
       return Status::IoError("page " + std::to_string(address) +
                              ": slot records are not strictly ascending");
     }
-    out->AppendHigh(&r, &r + 1);
   }
+  out->AppendHigh(records.data(), records.data() + records.size());
   return Status::OK();
 }
 

@@ -23,7 +23,7 @@
 //                   and zero fill. The CRC covers the count and the
 //                   record bytes; ReadPage rejects a mismatch with a
 //                   typed kIoError (the torn-page signal CheckAndRepair
-//                   treats like an injected fault). A fully zero slot is
+//                   answers by quarantining the slot). A fully zero slot is
 //                   a valid empty page, so a fresh ftruncate'd file
 //                   reads back as the all-empty state without writing
 //                   num_pages * slot_bytes of zeros at create.
@@ -33,7 +33,9 @@
 // 4096-aligned, slots are 4096 multiples); filesystems that refuse
 // O_DIRECT (tmpfs) fall back to buffered I/O transparently —
 // stats().direct_active says which mode is live. SyncBarrier() is
-// fdatasync on the data file.
+// fdatasync on the data file. The file is the source of truth: PageFile
+// keeps no copy of it, so every buffer-pool miss and every unpooled read
+// is a ReadPage here, and every write-back a WritePage.
 //
 // Kill-testing. Options::kill_after_writes arms the backend to SIGKILL
 // its own process when data-file pwrite number kill_after_writes+1 is
@@ -72,9 +74,6 @@ class FileBackend : public StorageBackend {
     // Attempt O_DIRECT on the data file; falls back to buffered I/O
     // where the filesystem refuses it.
     bool direct_io = false;
-    // Verify accounted device reads against the on-disk image (CRC +
-    // equality with the working image). See StorageBackend::VerifyOnRead.
-    bool verify_reads = true;
     // Testing: after this many completed data-file pwrites, the next
     // pwrite raises SIGKILL on the calling process instead of running.
     // -1 disarms.
@@ -111,7 +110,6 @@ class FileBackend : public StorageBackend {
   Status WritePage(Address address, const Page& page) override;
   Status ReadPage(Address address, Page* out) override;
   Status SyncBarrier() override;
-  bool VerifyOnRead() const override { return options_.verify_reads; }
   std::string Name() const override {
     return direct_active_ ? "file-direct" : "file-buffered";
   }

@@ -74,11 +74,14 @@ void Page::AppendHigh(const std::vector<Record>& records) {
 void Page::AppendHigh(const Record* begin, const Record* end) {
   DSF_CHECK(size() + (end - begin) <= capacity_)
       << "AppendHigh overflows page";
+#ifndef NDEBUG
   for (const Record* r = begin; r != end; ++r) {
-    DSF_DCHECK(records_.empty() || records_.back().key < r->key)
+    DSF_DCHECK((r == begin ? records_.empty() || records_.back().key < r->key
+                           : (r - 1)->key < r->key))
         << "AppendHigh order violation";
-    records_.push_back(*r);
   }
+#endif
+  records_.insert(records_.end(), begin, end);
 }
 
 void Page::PrependLow(const std::vector<Record>& records) {

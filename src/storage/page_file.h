@@ -1,13 +1,39 @@
-// PageFile: M consecutive pages of simulated auxiliary memory with full
-// page-access accounting.
+// PageFile: M consecutive pages of auxiliary memory with full page-access
+// accounting.
 //
 // Every algorithm in libdsf (the dense-file controls and all baselines)
 // goes through the accounted accessors so that experiments can compare
-// page-access counts. TryRead()/TryWrite() charge the access, consult the
-// optional FaultPolicy, and return the page or kIoError; Read()/Write()
-// are infallible wrappers that abort on a fault. Peek() is free and
-// reserved for validators, tests, debug printing and offline recovery —
-// never for online algorithm logic.
+// page-access counts. The pages live on one of two devices:
+//
+//   - the simulated device (the default): a vector of M in-memory pages,
+//     the paper's cost model at RAM speed. Every simulated test and
+//     sweep runs on it.
+//   - a StorageBackend (AttachBackend): the device is the source of
+//     truth and PageFile keeps no page vector. An accounted read fills
+//     the caller's page through StorageBackend::ReadPage; an accounted
+//     write hands the finished page to WritePage before it returns. The
+//     only pages in memory are the callers' own: buffer-pool frames and
+//     per-call scratch. This is Willard's model, where only the
+//     calibrator lives in main memory and every page access is a
+//     transfer from the auxiliary device.
+//
+// Reads therefore take a caller-owned `scratch` page and return a
+// pointer to the content: the simulated page itself, or `scratch` filled
+// from the backend. The pointer is valid until the next write of that
+// address or the next use of `scratch`. Scratch may be default-
+// constructed; it is sized on first use. Concurrent shared-lock readers
+// each pass their own scratch, so reads never share a buffer. Writes
+// pass the whole new content as a sorted record range: every writer
+// replaces whole pages.
+//
+// TryRead()/TryWrite() charge the access, consult the optional
+// FaultPolicy, and return kIoError on an injected fault (the page is
+// left untouched, so a failed write never tears a page). RawRead()/
+// RawWrite() are the unaccounted, fault-immune pair: for setup (bulk
+// loads), recovery (CheckAndRepair), layout bookkeeping (freed-tail
+// clears) and validators — never for online algorithm logic. dsflint's
+// raw-page-io rule confines them to the storage layer and annotated
+// call sites.
 //
 // Addresses are 1-based (pages 1..M), matching the paper.
 
@@ -39,9 +65,10 @@ class PageFile {
 
   // Accounted, fallible access. `address` in [1, num_pages] (violations
   // return OutOfRange, not abort). The access is charged to IoStats and
-  // then checked against the installed FaultPolicy, if any: on an injected
-  // fault the page is left untouched and kIoError is returned. A failed
-  // write therefore never tears an individual page.
+  // then checked against the installed FaultPolicy, if any: on an
+  // injected fault nothing is read or written and kIoError is returned.
+  // A real device error from the backend (EIO, a checksum mismatch)
+  // surfaces the same way, after the charge.
   //
   // TryRead/TryWrite charge one *logical* and one *physical* access; an
   // unpooled caller always pays the device. A BufferPool splits the two:
@@ -49,25 +76,25 @@ class PageFile {
   // TryDeviceWrite only on misses and write-back, so the logical counters
   // record what the algorithm asked for and page_reads/page_writes record
   // actual device traffic.
-  StatusOr<const Page*> TryRead(Address address);
-  StatusOr<Page*> TryWrite(Address address);
+  StatusOr<const Page*> TryRead(Address address, Page* scratch);
+  Status TryWrite(Address address, const Record* begin, const Record* end);
 
   // Physical-only access: charges the device counters (seek/sequential
   // classification, fault consultation, simulated latency) without the
   // logical counters. Used by the buffer pool for miss fills and
   // write-back.
-  StatusOr<const Page*> TryDeviceRead(Address address);
-  StatusOr<Page*> TryDeviceWrite(Address address);
+  StatusOr<const Page*> TryDeviceRead(Address address, Page* scratch);
+  Status TryDeviceWrite(Address address, const Record* begin,
+                        const Record* end);
 
   // Logical-only accounting: records that the algorithm requested a page
   // access that may be absorbed by a cache.
   void CountLogical(bool is_write) { tracker_.OnLogical(is_write); }
 
-  // Accounted, infallible access: aborts the process on a bad address or
-  // an injected fault. For call sites whose layer has no error channel —
-  // under fault injection they fail loudly instead of ignoring the fault.
-  const Page& Read(Address address);
-  Page& Write(Address address);
+  // Unaccounted, fault-immune access (see the header note). RawRead is
+  // safe under concurrent shared-lock readers; RawWrite is writer-side.
+  StatusOr<const Page*> RawRead(Address address, Page* scratch) const;
+  Status RawWrite(Address address, const Record* begin, const Record* end);
 
   // Installs (or clears, with nullptr) the fault schedule consulted by
   // TryRead/TryWrite. Shared so tests can keep steering it mid-run.
@@ -77,56 +104,22 @@ class PageFile {
   }
   FaultPolicy* fault_policy() const { return fault_policy_.get(); }
 
-  // Attaches a durable device behind the file. The in-memory pages stay
-  // the *working image* (what every accessor above returns); the backend
-  // is the state that survives a process death. On attach the device
-  // image is loaded INTO the working image — a fresh backend is all
-  // empty pages, so attaching one to a fresh file is a no-op, and
-  // attaching an existing file pair is the reopen path. Pages whose
-  // device slot fails integrity checks (torn/corrupt, kIoError from the
-  // backend) are left empty in the working image and recorded in
-  // corrupt_pages_at_open(); callers must follow with CheckAndRepair.
-  //
-  // Persistence model — one-slot write-behind. A device write hands the
-  // caller a Page* that is mutated *after* the call returns, so the
-  // write cannot be persisted inside TryDeviceWrite. Instead the
-  // address is parked in a pending slot and serialized to the backend
-  // at the next device access or SyncBarrier(), by which time the
-  // accounting discipline guarantees the mutation is complete (every
-  // page mutation is preceded by its charged access). Back-to-back
-  // writes to the same address combine into one backend write; distinct
-  // addresses flush in exactly the order the accesses were charged, so
-  // the device sees the crash-safe write ordering unchanged. RawPage
-  // bookkeeping mutations ride the same pending slot (unaccounted, but
-  // persisted). Fault injection composes: the FaultPolicy is consulted
-  // before the pending slot is touched, so an injected fault suppresses
-  // the durable write exactly as it suppresses the simulated one.
-  //
-  // Geometry must match the live file; a second attach is refused.
+  // Makes `backend` the device (see the header note) and drops the
+  // simulated page vector. Attach before the first write: the backend's
+  // current content becomes the file's content, so a fresh backend is an
+  // empty file and an existing file pair is the reopen path (the caller
+  // then runs CheckAndRepair, which also finds and quarantines torn
+  // slots). Nothing is read here. Geometry must match the live file; a
+  // second attach is refused.
   Status AttachBackend(std::unique_ptr<StorageBackend> backend);
   StorageBackend* backend() const { return backend_.get(); }
 
-  // Persistence barrier: flushes the pending slot and, if anything was
-  // written since the last barrier, calls the backend's SyncBarrier
-  // (fdatasync for a file backend). No-op without a backend. ControlBase
-  // invokes this exactly at the points the crash-ordering argument
-  // assumes durability (docs/STORAGE.md).
+  // Persistence barrier: if anything was written to the backend since
+  // the last barrier, calls its SyncBarrier (fdatasync for a file
+  // backend). No-op without a backend. ControlBase invokes this exactly
+  // at the points the crash-ordering argument assumes durability
+  // (docs/STORAGE.md).
   Status SyncBarrier();
-
-  // Pages whose device slot was unreadable when AttachBackend loaded the
-  // image (empty for a clean open).
-  const std::vector<Address>& corrupt_pages_at_open() const {
-    return corrupt_pages_at_open_;
-  }
-
-  // Unaccounted access for validators / tests / printing only.
-  const Page& Peek(Address address) const;
-
-  // Unaccounted mutable access. Reserved for (a) initial loading in tests
-  // and benches, and (b) layout bookkeeping that a real system would do in
-  // metadata (e.g. marking a tail page of a shrunken macro-block free).
-  // Algorithm logic must use Read()/Write().
-  Page& RawPage(Address address);
 
   // Counter snapshot, by value: the tracker's counters are atomics so
   // concurrent shared readers (docs/CONCURRENCY.md) can charge accesses
@@ -142,57 +135,55 @@ class PageFile {
   // default) keeps the file purely in-memory. Experiments use this to
   // model disk/flash-resident files, where page accesses — the paper's
   // cost metric — dominate command time; sleeps on different PageFile
-  // instances overlap, as independent devices would. Peek/RawPage stay
-  // free, mirroring the accounting rule above. A flat per-access latency
-  // L is DiskModel{seek_ms = 0, transfer_ms = L}. Both the accounting
-  // and the sleep read the AccessTracker's single charge model, so they
-  // can never disagree.
+  // instances overlap, as independent devices would. RawRead/RawWrite
+  // stay free, mirroring the accounting rule above. A flat per-access
+  // latency L is DiskModel{seek_ms = 0, transfer_ms = L}. Both the
+  // accounting and the sleep read the AccessTracker's single charge
+  // model, so they can never disagree.
   void set_disk_model(const DiskModel& model, bool sleep = false) {
     tracker_.SetChargeNs(model.SeekChargeNs(), model.SequentialChargeNs());
     sleep_on_access_ = sleep;
     UpdateSlowPath();
   }
 
-  // Total records across all pages (O(M); for validation and loading).
-  int64_t TotalRecords() const;
+  // Total records across all pages (O(M) unaccounted reads; for
+  // validation and tests).
+  StatusOr<int64_t> TotalRecords() const;
 
   // True iff every page is well-formed and keys ascend globally across
-  // pages (condition (iii) of (d,D)-density).
-  bool GloballyOrdered() const;
-
-  std::string DebugString() const;
+  // pages (condition (iii) of (d,D)-density). O(M) unaccounted reads.
+  StatusOr<bool> GloballyOrdered() const;
 
  private:
   // Fault consultation and the latency sleep both live off the hot path:
-  // TryDeviceRead/TryDeviceWrite test the single precomputed `slow_path_`
-  // flag (one predicted-not-taken branch per access) and only then pay
-  // for the two checks. The flag is maintained by the setters above, the
-  // only places the policy or latency can change.
+  // Charge tests the single precomputed `slow_path_` flag (one
+  // predicted-not-taken branch per access) and only then pays for the
+  // two checks. The flag is maintained by the setters above, the only
+  // places the policy or latency can change.
   void UpdateSlowPath() {
-    slow_path_ =
-        fault_policy_ != nullptr || sleep_on_access_ || backend_ != nullptr;
+    slow_path_ = fault_policy_ != nullptr || sleep_on_access_;
   }
+  // Charges one physical access to `address` and runs the slow-path
+  // checks; an injected fault is returned after the charge.
+  Status Charge(Address address, bool is_write);
   Status SlowPathAccess(Address address, bool is_write, int64_t charge_ns);
-
-  // Parks `address` in the pending slot, flushing any different pending
-  // address first (write order!). Same-address re-arms combine.
-  Status ArmPending(Address address);
-  // Serializes the pending page to the backend, if any.
-  Status FlushPending();
-  // Reads `address` back from the backend and compares against the
-  // working image (VerifyOnRead mode). Never mutates pages_, so it is
-  // safe under concurrent shared-lock readers.
-  Status VerifyDeviceRead(Address address);
+  Status AddressError(const char* op, Address address) const;
+  // The device transfer behind every read and write, accounted or not.
+  StatusOr<const Page*> LoadPage(Address address, Page* scratch) const;
+  Status StorePage(Address address, const Record* begin, const Record* end);
 
   int64_t num_pages_;
   int64_t page_capacity_;
+  // The simulated device; empty once a backend is attached.
   std::vector<Page> pages_;
   AccessTracker tracker_;
   std::shared_ptr<FaultPolicy> fault_policy_;
   std::unique_ptr<StorageBackend> backend_;
-  Address pending_ = 0;  // 0 = no pending device write
+  // Assembles a record range into the Page that WritePage takes. Writes
+  // are serialized (a writer's exclusive lock or the pool mutex), so one
+  // buffer serves them all.
+  Page write_page_;
   bool dirty_since_sync_ = false;
-  std::vector<Address> corrupt_pages_at_open_;
   bool sleep_on_access_ = false;
   bool slow_path_ = false;
 };

@@ -1,33 +1,33 @@
 // StorageBackend: the pluggable durable device behind PageFile.
 //
-// PageFile keeps the *working image* of every page in memory (that is
-// what makes Peek/RawPage free and lets the simulation run at RAM
-// speed). A StorageBackend, when attached, is the *device*: the state
-// that survives a process death. The split mirrors a real DBMS — the
-// working image is the OS page cache + heap, the backend is the
-// platters — and it is what converts the repo's crash-ordering proofs
-// from simulation into durable-storage evidence:
+// Without a backend, PageFile simulates the device with an in-memory
+// page vector (the paper's cost model). Attaching a backend makes it the
+// device and the source of truth: PageFile then keeps no page vector,
+// and every page access — accounted or not — is one call here. The pages
+// in RAM are the callers' own (buffer-pool frames, scratch), so the only
+// main-memory structure of the dense file is its calibrator, as in
+// Willard's model. The contract is what converts the repo's
+// crash-ordering proofs from simulation into durable-storage evidence:
 //
-//   - every accounted device write (TryDeviceWrite, and the unaccounted
-//     RawPage bookkeeping mutations) is persisted through WritePage, in
-//     exactly the order the crash-safe maintenance issued it
-//     (docs/FAULTS.md: DEST-before-SOURCE, directional block rewrites);
+//   - every write reaches WritePage before PageFile returns, in exactly
+//     the order the crash-safe maintenance issued it (docs/FAULTS.md:
+//     DEST-before-SOURCE, directional block rewrites). A process kill
+//     therefore leaves the device holding a prefix of the issued writes;
 //   - SyncBarrier() is called at the points the write-ordering argument
-//     already assumes a persistence boundary (end of each
-//     duplicate-then-delete phase, the EndCommand flush boundary, bulk
-//     load, repair) — for a file backend this is fdatasync;
-//   - ReadPage loads a page image back, verifying integrity (CRC32C for
-//     the file backend); a torn or corrupt page surfaces as a typed
-//     kIoError that CheckAndRepair treats like an injected fault.
+//     assumes a persistence boundary (the EndCommand flush boundary,
+//     bulk load, repair, and the unpooled SHIFT/redistribution phases;
+//     docs/STORAGE.md says which of them order writes against power
+//     loss) — for a file backend this is fdatasync;
+//   - ReadPage loads a page image, verifying integrity (CRC32C for the
+//     file backend); a torn or corrupt page surfaces as a typed kIoError
+//     that CheckAndRepair quarantines.
 //
-// Two implementations ship: MemoryBackend (below) keeps the device
-// image in a second in-memory page vector — the existing simulation,
-// now holding the same contract as real storage — and FileBackend
-// (storage/file_backend.h) keeps it in a real index/data file pair with
-// page-aligned pread/pwrite and fdatasync. Fault injection composes
-// unchanged: the FaultPolicy is consulted by PageFile *before* the
-// backend is touched, so an injected write fault suppresses the
-// persistent write exactly as it suppresses the simulated one.
+// FileBackend (storage/file_backend.h) is the implementation: a real
+// index/data file pair with page-aligned pread/pwrite and fdatasync.
+// Fault injection composes unchanged: the FaultPolicy is consulted by
+// PageFile *before* the backend is touched, so an injected write fault
+// suppresses the persistent write exactly as it suppresses the
+// simulated one.
 
 #ifndef DSF_STORAGE_STORAGE_BACKEND_H_
 #define DSF_STORAGE_STORAGE_BACKEND_H_
@@ -36,7 +36,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "storage/page.h"
 #include "storage/record.h"
@@ -57,24 +56,18 @@ class StorageBackend {
   // write must be atomic at page granularity from the caller's
   // perspective: after a crash the slot holds either the old image or
   // the new one, or fails ReadPage with kIoError (a torn write) — never
-  // silently mixes the two.
+  // silently mixes the two. Writers are externally serialized.
   virtual Status WritePage(Address address, const Page& page) = 0;
 
   // Loads the device image of `address` into *out (replacing its
-  // contents; *out keeps its capacity). Integrity-checked: a corrupt
-  // slot returns kIoError and leaves *out empty.
+  // contents; *out keeps its capacity, which must be page_capacity()).
+  // Integrity-checked: a corrupt slot returns kIoError and leaves *out
+  // empty. Must be safe to call concurrently (shared-lock readers).
   virtual Status ReadPage(Address address, Page* out) = 0;
 
   // Persistence barrier: on return, every WritePage issued before the
-  // call is durable. fdatasync for the file backend; a no-op when the
-  // device image cannot outlive the process anyway.
+  // call is durable. fdatasync for the file backend.
   virtual Status SyncBarrier() = 0;
-
-  // When true, PageFile verifies every accounted device read against
-  // the backend image (CRC + record-level equality with the working
-  // image), making divergence between the two surface at the access
-  // that would have observed it instead of at the next reopen.
-  virtual bool VerifyOnRead() const { return true; }
 
   virtual std::string Name() const = 0;
 };
@@ -87,35 +80,6 @@ class StorageBackend {
 using StorageBackendFactory =
     std::function<StatusOr<std::unique_ptr<StorageBackend>>(
         int64_t num_pages, int64_t page_capacity)>;
-
-// The in-memory device: a second page vector standing in for the
-// platters. Same write-through and read-back contract as the file
-// backend, RAM speed, nothing survives the process — the simulation
-// configuration every pre-backend test and experiment ran against,
-// expressed as a StorageBackend so the two are interchangeable behind
-// PageFile (and differentially comparable: see
-// tests/storage_backend_test.cc parity sweeps).
-class MemoryBackend : public StorageBackend {
- public:
-  MemoryBackend(int64_t num_pages, int64_t page_capacity);
-
-  int64_t num_pages() const override { return num_pages_; }
-  int64_t page_capacity() const override { return page_capacity_; }
-  Status WritePage(Address address, const Page& page) override;
-  Status ReadPage(Address address, Page* out) override;
-  Status SyncBarrier() override { return Status::OK(); }
-  std::string Name() const override { return "memory"; }
-
-  // Test hook: device-image access for divergence assertions.
-  const Page& DevicePage(Address address) const {
-    return image_[static_cast<size_t>(address - 1)];
-  }
-
- private:
-  int64_t num_pages_;
-  int64_t page_capacity_;
-  std::vector<Page> image_;
-};
 
 }  // namespace dsf
 

@@ -19,6 +19,7 @@
 #include "analysis/auditor.h"
 #include "core/control2.h"
 #include "core/dense_file.h"
+#include "page_helpers.h"
 #include "shard/sharded_dense_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -43,7 +44,7 @@ std::unique_ptr<Control2> MakeLoaded() {
 
 Address FirstLoadedPage(const ControlBase& control) {
   for (Address p = 1; p <= control.file().num_pages(); ++p) {
-    if (!control.file().Peek(p).empty()) return p;
+    if (!PeekPage(control.file(), p).empty()) return p;
   }
   ADD_FAILURE() << "file unexpectedly empty";
   return 1;
@@ -51,7 +52,7 @@ Address FirstLoadedPage(const ControlBase& control) {
 
 Address NextLoadedPageAfter(const ControlBase& control, Address p) {
   for (Address q = p + 1; q <= control.file().num_pages(); ++q) {
-    if (!control.file().Peek(q).empty()) return q;
+    if (!PeekPage(control.file(), q).empty()) return q;
   }
   ADD_FAILURE() << "no second loaded page";
   return p;
@@ -207,8 +208,8 @@ TEST(Auditor, DetectsRecordSwapAcrossPageBoundary) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   const Address q = NextLoadedPageAfter(*c, p);
-  Page& lo_page = c->file().RawPage(p);
-  Page& hi_page = c->file().RawPage(q);
+  Page lo_page = PeekPage(c->file(), p);
+  Page hi_page = PeekPage(c->file(), q);
   const Record lo = lo_page.records().back();   // max of p
   const Record hi = hi_page.records().front();  // min of q
   ASSERT_LT(lo.key, hi.key);
@@ -216,6 +217,8 @@ TEST(Auditor, DetectsRecordSwapAcrossPageBoundary) {
   ASSERT_TRUE(hi_page.Erase(hi.key).ok());
   ASSERT_TRUE(lo_page.Insert(hi).ok());
   ASSERT_TRUE(hi_page.Insert(lo).ok());
+  ASSERT_TRUE(PutPage(c->file(), p, lo_page).ok());
+  ASSERT_TRUE(PutPage(c->file(), q, hi_page).ok());
 
   const AuditReport report = Auditor::AuditControl(*c);
   ASSERT_TRUE(report.Has(AuditViolationKind::kGlobalOrderViolation))

@@ -18,6 +18,7 @@
 
 #include "core/dense_file.h"
 #include "gtest/gtest.h"
+#include "page_helpers.h"
 #include "shard/sharded_dense_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection.h"
@@ -46,8 +47,8 @@ class BufferPoolTest : public ::testing::Test {
 
   // Seeds a device page directly (unaccounted), one record key=value=k.
   void SeedPage(Address address, Key k) {
-    file_.RawPage(address).Clear();
-    ASSERT_TRUE(file_.RawPage(address).Insert(Record{k, k}).ok());
+    const Record record{k, k};
+    ASSERT_TRUE(file_.RawWrite(address, &record, &record + 1).ok());
   }
 
   PageFile file_;
@@ -82,7 +83,7 @@ TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
     ASSERT_TRUE(g->mutable_page()->Insert(Record{7, 70}).ok());
   }
   // The mutation lives only in the frame so far.
-  EXPECT_TRUE(file_.Peek(1).empty());
+  EXPECT_TRUE(PeekPage(file_, 1).empty());
   EXPECT_EQ(pool->dirty_pages(), 1);
   EXPECT_EQ(file_.stats().logical_writes, 1);
   EXPECT_EQ(file_.stats().page_writes, 0);
@@ -91,7 +92,7 @@ TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
   EXPECT_EQ(pool->dirty_pages(), 0);
   EXPECT_EQ(pool->stats().writebacks, 1);
   EXPECT_EQ(file_.stats().page_writes, 1);
-  EXPECT_EQ(file_.Peek(1).MinKey(), 7);
+  EXPECT_EQ(PeekPage(file_, 1).MinKey(), 7);
 }
 
 TEST_F(BufferPoolTest, TailWriteCombiningAbsorbsRepeatedWrites) {
@@ -107,7 +108,7 @@ TEST_F(BufferPoolTest, TailWriteCombiningAbsorbsRepeatedWrites) {
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(file_.stats().logical_writes, 5);
   EXPECT_EQ(file_.stats().page_writes, 1);
-  EXPECT_EQ(file_.Peek(3).size(), 5);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 5);
 }
 
 TEST_F(BufferPoolTest, NonTailRedirtyFlushesPrefixInOrder) {
@@ -129,12 +130,12 @@ TEST_F(BufferPoolTest, NonTailRedirtyFlushesPrefixInOrder) {
     StatusOr<PageGuard> g = pool->PinWrite(1);
     ASSERT_TRUE(g.ok());
     EXPECT_EQ(pool->stats().ordered_flushes, 1);
-    EXPECT_EQ(file_.Peek(1).size(), 1);  // old version already on device
+    EXPECT_EQ(PeekPage(file_, 1).size(), 1);  // old version already on device
     ASSERT_TRUE(g->mutable_page()->Insert(Record{3, 3}).ok());
   }
   ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(file_.Peek(1).size(), 2);
-  EXPECT_EQ(file_.Peek(2).size(), 1);
+  EXPECT_EQ(PeekPage(file_, 1).size(), 2);
+  EXPECT_EQ(PeekPage(file_, 2).size(), 1);
   EXPECT_EQ(pool->stats().writebacks, 3);
 }
 
@@ -163,6 +164,27 @@ TEST_F(BufferPoolTest, AllPinnedReturnsResourceExhausted) {
   EXPECT_EQ(retry->page().MinKey(), 3);
 }
 
+// A shared reader may hold a read pin on a dirty frame (a drain window
+// keeps frames dirty across commands). Another reader's miss must still
+// evict: the dirty prefix, read-pinned frame included, lands in order
+// instead of failing the read.
+TEST_F(BufferPoolTest, EvictionFlushesReadPinnedDirtyPrefix) {
+  auto pool = MakePool(2);
+  for (const Address a : {1, 2}) {
+    StatusOr<PageGuard> g = pool->PinWrite(a);
+    ASSERT_TRUE(g.ok());
+    ASSERT_TRUE(g->mutable_page()->Insert(Record{static_cast<Key>(a), 1}).ok());
+  }
+  StatusOr<PageGuard> reader = pool->PinRead(1);
+  ASSERT_TRUE(reader.ok());
+  StatusOr<PageGuard> miss = pool->PinRead(3);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_EQ(PeekPage(file_, 1).size(), 1);  // read-pinned, written back
+  EXPECT_EQ(PeekPage(file_, 2).size(), 1);  // the victim
+  EXPECT_EQ(reader->page().MinKey(), 1u);
+  EXPECT_EQ(pool->dirty_pages(), 0);
+}
+
 // Eviction must preserve every written record regardless of policy: the
 // logical view (frame if resident, else device) never loses data.
 class EvictionPolicyTest
@@ -186,8 +208,8 @@ TEST_P(EvictionPolicyTest, EvictionWritesBackDirtyVictims) {
 
   ASSERT_TRUE(pool.FlushAll().ok());
   for (Address a = 1; a <= 8; ++a) {
-    ASSERT_EQ(file.Peek(a).size(), 1) << "page " << a;
-    EXPECT_EQ(file.Peek(a).MinKey(), static_cast<Key>(a));
+    ASSERT_EQ(PeekPage(file, a).size(), 1) << "page " << a;
+    EXPECT_EQ(PeekPage(file, a).MinKey(), static_cast<Key>(a));
   }
 }
 
@@ -236,7 +258,7 @@ TEST_F(BufferPoolTest, WriteBackFaultLeavesFrameDirtyAndPoolConsistent) {
   EXPECT_EQ(pool->dirty_pages(), 1);
   ASSERT_NE(pool->PeekFrame(5), nullptr);
   EXPECT_EQ(pool->PeekFrame(5)->MinKey(), 50);
-  EXPECT_TRUE(file_.Peek(5).empty());
+  EXPECT_TRUE(PeekPage(file_, 5).empty());
   EXPECT_EQ(pool->stats().writebacks, 0);
 
   // Clearing the fault makes the same FlushAll retry succeed.
@@ -244,7 +266,7 @@ TEST_F(BufferPoolTest, WriteBackFaultLeavesFrameDirtyAndPoolConsistent) {
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(pool->dirty_pages(), 0);
   EXPECT_EQ(pool->stats().writebacks, 1);
-  EXPECT_EQ(file_.Peek(5).MinKey(), 50);
+  EXPECT_EQ(PeekPage(file_, 5).MinKey(), 50);
 }
 
 TEST_F(BufferPoolTest, FlushStopsAtFaultPreservingOrder) {
@@ -261,14 +283,14 @@ TEST_F(BufferPoolTest, FlushStopsAtFaultPreservingOrder) {
 
   ASSERT_FALSE(pool->FlushAll().ok());
   // Page 1 landed, pages 2 and 3 stay dirty in their original order.
-  EXPECT_EQ(file_.Peek(1).size(), 1);
-  EXPECT_TRUE(file_.Peek(2).empty());
-  EXPECT_TRUE(file_.Peek(3).empty());
+  EXPECT_EQ(PeekPage(file_, 1).size(), 1);
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
+  EXPECT_TRUE(PeekPage(file_, 3).empty());
   EXPECT_EQ(pool->dirty_pages(), 2);
 
   ASSERT_TRUE(pool->FlushAll().ok());  // retry completes the suffix
-  EXPECT_EQ(file_.Peek(2).size(), 1);
-  EXPECT_EQ(file_.Peek(3).size(), 1);
+  EXPECT_EQ(PeekPage(file_, 2).size(), 1);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
 }
 
 TEST_F(BufferPoolTest, SequentialFlushCoalescesIntoRuns) {
@@ -300,7 +322,7 @@ TEST_F(BufferPoolTest, MarkFreeRidesDirtyOrderUnaccounted) {
     ASSERT_TRUE(g->mutable_page()->Insert(Record{9, 9}).ok());
   }
   ASSERT_TRUE(pool->FlushAll().ok());
-  ASSERT_EQ(file_.Peek(2).size(), 1);
+  ASSERT_EQ(PeekPage(file_, 2).size(), 1);
 
   // "Move" the record to page 3 and free page 2, as a shrinking
   // macro-block would.
@@ -315,8 +337,8 @@ TEST_F(BufferPoolTest, MarkFreeRidesDirtyOrderUnaccounted) {
   ASSERT_TRUE(pool->FlushAll().ok());
   const IoStats delta = file_.stats() - before;
 
-  EXPECT_TRUE(file_.Peek(2).empty());
-  EXPECT_EQ(file_.Peek(3).size(), 1);
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
+  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
   EXPECT_EQ(pool->stats().free_writes, 1);
   // The freed-page clear is layout bookkeeping, not an accounted write.
   EXPECT_EQ(delta.page_writes, 1);
@@ -353,7 +375,7 @@ TEST_F(BufferPoolTest, RewriteSupersetAbsorbsWithoutFlush) {
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
   ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(file_.Peek(3).size(), 3);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 3);
 }
 
 TEST_F(BufferPoolTest, RewriteRelocatesWhenNothingDependsOnIt) {
@@ -387,8 +409,8 @@ TEST_F(BufferPoolTest, RewriteRelocatesWhenNothingDependsOnIt) {
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
   ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(file_.Peek(3).size(), 1);
-  EXPECT_EQ(file_.Peek(5).size(), 2);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
+  EXPECT_EQ(PeekPage(file_, 5).size(), 2);
 }
 
 TEST_F(BufferPoolTest, RewriteRefusesRelocationWhenRemovalDependsOnIt) {
@@ -425,8 +447,8 @@ TEST_F(BufferPoolTest, RewriteRefusesRelocationWhenRemovalDependsOnIt) {
   EXPECT_EQ(pool->stats().ordered_flushes, 1);
   EXPECT_EQ((file_.stats() - before).page_writes, 1);
   ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(file_.Peek(3).size(), 1);
-  EXPECT_TRUE(file_.Peek(2).empty());
+  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
 }
 
 TEST_F(BufferPoolTest, VolatileKeyLiftsRelocationConstraint) {
@@ -461,8 +483,8 @@ TEST_F(BufferPoolTest, VolatileKeyLiftsRelocationConstraint) {
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
   ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(file_.Peek(3).size(), 1);
-  EXPECT_TRUE(file_.Peek(2).empty());
+  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
 }
 
 TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
@@ -486,9 +508,9 @@ TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
   }
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(pool->stats().flush_runs, 1);
-  EXPECT_EQ(file_.Peek(5).size(), 2);
-  EXPECT_EQ(file_.Peek(6).size(), 2);
-  EXPECT_EQ(file_.Peek(7).size(), 2);
+  EXPECT_EQ(PeekPage(file_, 5).size(), 2);
+  EXPECT_EQ(PeekPage(file_, 6).size(), 2);
+  EXPECT_EQ(PeekPage(file_, 7).size(), 2);
 }
 
 TEST_F(BufferPoolTest, DropAllLosesDirtyDataByDesign) {
@@ -502,8 +524,8 @@ TEST_F(BufferPoolTest, DropAllLosesDirtyDataByDesign) {
   pool->DropAll();
   EXPECT_EQ(pool->resident_pages(), 0);
   EXPECT_EQ(pool->dirty_pages(), 0);
-  EXPECT_TRUE(file_.Peek(2).empty());  // the dirty write is gone (RAM loss)
-  EXPECT_EQ(file_.Peek(1).MinKey(), 1);  // device state untouched
+  EXPECT_TRUE(PeekPage(file_, 2).empty());  // the dirty write is gone (RAM loss)
+  EXPECT_EQ(PeekPage(file_, 1).MinKey(), 1);  // device state untouched
 
   // The pool is fully reusable afterwards.
   StatusOr<PageGuard> g = pool->PinRead(1);

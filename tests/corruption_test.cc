@@ -1,4 +1,4 @@
-// Fault injection: damage a live file through the unaccounted RawPage
+// Fault injection: damage a live file through the unaccounted RawWrite
 // backdoor and verify that ValidateInvariants pinpoints each corruption
 // class — the defense the property tests rely on. Also exercises the
 // calibrator's own aggregate validator.
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/control2.h"
+#include "page_helpers.h"
 #include "workload/workload.h"
 
 namespace dsf {
@@ -26,7 +27,7 @@ std::unique_ptr<Control2> MakeLoaded() {
 // First non-empty physical page.
 Address FirstLoadedPage(ControlBase& control) {
   for (Address p = 1; p <= control.file().num_pages(); ++p) {
-    if (!control.file().Peek(p).empty()) return p;
+    if (!PeekPage(control.file(), p).empty()) return p;
   }
   ADD_FAILURE() << "file unexpectedly empty";
   return 1;
@@ -36,7 +37,9 @@ TEST(Corruption, DetectsOutOfOrderRecordsAcrossPages) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   // Plant a key larger than everything into the first loaded page.
-  ASSERT_TRUE(c->file().RawPage(p).Insert(Record{1u << 30, 0}).ok());
+  Page page = PeekPage(c->file(), p);
+  ASSERT_TRUE(page.Insert(Record{1u << 30, 0}).ok());
+  ASSERT_TRUE(PutPage(c->file(), p, page).ok());
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
@@ -46,8 +49,9 @@ TEST(Corruption, DetectsStaleRankCounter) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   // Remove a record physically without telling the calibrator.
-  Page& page = c->file().RawPage(p);
+  Page page = PeekPage(c->file(), p);
   ASSERT_TRUE(page.Erase(page.MinKey()).ok());
+  ASSERT_TRUE(PutPage(c->file(), p, page).ok());
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("rank counter"), std::string::npos) << s;
@@ -58,10 +62,11 @@ TEST(Corruption, DetectsStaleFenceKeys) {
   const Address p = FirstLoadedPage(*c);
   // Replace the page's max key with a nearby unused key: count stays the
   // same, order stays intact, but the cached fence is now wrong.
-  Page& page = c->file().RawPage(p);
+  Page page = PeekPage(c->file(), p);
   const Key old_max = page.MaxKey();
   ASSERT_TRUE(page.Erase(old_max).ok());
   ASSERT_TRUE(page.Insert(Record{old_max + 1, 0}).ok());
+  ASSERT_TRUE(PutPage(c->file(), p, page).ok());
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("fence"), std::string::npos) << s;
@@ -77,13 +82,14 @@ TEST(Corruption, DetectsPageOverflowBeyondD) {
   // Stuff one page past D = 15 using the physical slack slot, keeping the
   // calibrator in sync so only the density bound trips.
   const Address p = FirstLoadedPage(*c);
-  Page& page = c->file().RawPage(p);
+  Page page = PeekPage(c->file(), p);
   std::vector<Record> contents = page.TakeAll();
   Key k = contents.empty() ? 1 : contents.back().key;
   while (static_cast<int64_t>(contents.size()) < 16) {
     contents.push_back(Record{++k, 0});
   }
   page.AppendHigh(contents);
+  ASSERT_TRUE(PutPage(c->file(), p, page).ok());
   // (Do not SyncLeaf: both the stale-counter and overflow checks fire;
   // either way ValidateInvariants must fail.)
   EXPECT_FALSE(c->ValidateInvariants().ok());
@@ -100,12 +106,14 @@ TEST(Corruption, DetectsBrokenPrefixPackingInMacroBlocks) {
   ASSERT_TRUE(c->ValidateInvariants().ok());
   // Move the first page's records to a later page inside the same block,
   // breaking the packed-prefix layout.
-  Page& first = c->file().RawPage(1);
+  Page first = PeekPage(c->file(), 1);
   std::vector<Record> moved = first.TakeAll();
   ASSERT_FALSE(moved.empty());
-  Page& hole_breaker = c->file().RawPage(8);
+  Page hole_breaker = PeekPage(c->file(), 8);
   ASSERT_TRUE(hole_breaker.empty());
   hole_breaker.AppendHigh(moved);
+  ASSERT_TRUE(PutPage(c->file(), 1, first).ok());
+  ASSERT_TRUE(PutPage(c->file(), 8, hole_breaker).ok());
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "page_helpers.h"
 #include "shard/sharded_dense_file.h"
 #include "storage/io_stats.h"
 #include "storage/page_file.h"
@@ -102,42 +103,54 @@ TEST(PageFileFaults, TryReadSurfacesInjectedFault) {
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailNthAccess(1);
   file.set_fault_policy(policy);
-  StatusOr<const Page*> page = file.TryRead(2);
+  Page scratch;
+  StatusOr<const Page*> page = file.TryRead(2, &scratch);
   EXPECT_TRUE(page.status().IsIoError());
   // The faulted access was still charged — attempted work is real work.
   EXPECT_EQ(file.stats().TotalAccesses(), 1);
   // The schedule is exhausted; the retry succeeds.
-  EXPECT_TRUE(file.TryRead(2).ok());
+  EXPECT_TRUE(file.TryRead(2, &scratch).ok());
   EXPECT_EQ(file.stats().TotalAccesses(), 2);
 }
 
 TEST(PageFileFaults, TryWriteLeavesPageUntouchedOnFault) {
   PageFile file(4, 4);
-  file.RawPage(1).AppendHigh({Record{10, 10}});
+  const Record old_record{10, 10};
+  ASSERT_TRUE(file.RawWrite(1, &old_record, &old_record + 1).ok());
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailAddressRange(1, 1, /*writes_only=*/true);
   file.set_fault_policy(policy);
-  EXPECT_TRUE(file.TryWrite(1).status().IsIoError());
-  EXPECT_EQ(file.Peek(1).size(), 1u);
-  EXPECT_EQ(file.Peek(1).MinKey(), 10u);
+  const Record new_record{20, 20};
+  EXPECT_TRUE(file.TryWrite(1, &new_record, &new_record + 1).IsIoError());
+  EXPECT_EQ(PeekPage(file, 1).size(), 1u);
+  EXPECT_EQ(PeekPage(file, 1).MinKey(), 10u);
 }
 
 TEST(PageFileFaults, BadAddressIsOutOfRangeNotAbort) {
   PageFile file(4, 4);
-  EXPECT_EQ(file.TryRead(0).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(file.TryRead(5).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(file.TryWrite(0).status().code(), StatusCode::kOutOfRange);
+  Page scratch;
+  EXPECT_EQ(file.TryRead(0, &scratch).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.TryRead(5, &scratch).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.TryWrite(0, nullptr, nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.RawRead(5, &scratch).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.RawWrite(0, nullptr, nullptr).code(),
+            StatusCode::kOutOfRange);
 }
 
-TEST(PageFileFaults, PeekAndRawPageAreFaultImmune) {
+TEST(PageFileFaults, RawReadAndRawWriteAreFaultImmune) {
   PageFile file(4, 4);
   auto policy = std::make_shared<FaultPolicy>();
   policy->CrashAfterAccesses(0);
   file.set_fault_policy(policy);
   // Unaccounted accessors bypass both accounting and the fault schedule:
   // they model offline recovery inspecting the device.
-  file.RawPage(3).AppendHigh({Record{7, 7}});
-  EXPECT_EQ(file.Peek(3).size(), 1u);
+  const Record record{7, 7};
+  ASSERT_TRUE(file.RawWrite(3, &record, &record + 1).ok());
+  EXPECT_EQ(PeekPage(file, 3).size(), 1u);
   EXPECT_EQ(policy->accesses_seen(), 0);
 }
 

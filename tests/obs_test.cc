@@ -546,9 +546,10 @@ TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
   flat.seek_ms = 0;
   flat.transfer_ms = 1e-4;  // 100 ns
   file.set_disk_model(flat);
-  ASSERT_TRUE(file.TryRead(1).ok());
-  ASSERT_TRUE(file.TryRead(2).ok());
-  ASSERT_TRUE(file.TryWrite(10).ok());
+  Page scratch;
+  ASSERT_TRUE(file.TryRead(1, &scratch).ok());
+  ASSERT_TRUE(file.TryRead(2, &scratch).ok());
+  ASSERT_TRUE(file.TryWrite(10, nullptr, nullptr).ok());
   EXPECT_EQ(file.stats().TotalAccesses(), 3);
   EXPECT_EQ(file.stats().sim_elapsed_ns, 300);
 
@@ -560,10 +561,10 @@ TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
   model.seek_ms = 2.0;
   model.transfer_ms = 1.0;
   modeled.set_disk_model(model);  // accounting only, no real sleep
-  ASSERT_TRUE(modeled.TryRead(5).ok());  // first access: seek
-  ASSERT_TRUE(modeled.TryRead(6).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(7).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(1).ok());  // jump: seek
+  ASSERT_TRUE(modeled.TryRead(5, &scratch).ok());  // first access: seek
+  ASSERT_TRUE(modeled.TryRead(6, &scratch).ok());  // adjacent: sequential
+  ASSERT_TRUE(modeled.TryRead(7, &scratch).ok());  // adjacent: sequential
+  ASSERT_TRUE(modeled.TryRead(1, &scratch).ok());  // jump: seek
   EXPECT_EQ(modeled.stats().seeks, 2);
   EXPECT_EQ(modeled.stats().sequential_accesses, 2);
   EXPECT_EQ(modeled.stats().sim_elapsed_ns,

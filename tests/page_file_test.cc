@@ -3,58 +3,87 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "page_helpers.h"
 #include "storage/disk_model.h"
 
 namespace dsf {
 namespace {
+
+// Accounted single-page accesses whose content these tests ignore.
+void Read(PageFile& f, Address a) {
+  Page scratch;
+  ASSERT_TRUE(f.TryRead(a, &scratch).ok());
+}
+void Write(PageFile& f, Address a) {
+  ASSERT_TRUE(f.TryWrite(a, nullptr, nullptr).ok());
+}
+
+void Put(PageFile& f, Address a, const std::vector<Record>& records) {
+  ASSERT_TRUE(
+      f.RawWrite(a, records.data(), records.data() + records.size()).ok());
+}
 
 TEST(PageFile, ConstructsEmptyPages) {
   PageFile f(4, 8);
   EXPECT_EQ(f.num_pages(), 4);
   EXPECT_EQ(f.page_capacity(), 8);
   for (Address a = 1; a <= 4; ++a) {
-    EXPECT_TRUE(f.Peek(a).empty());
+    EXPECT_TRUE(PeekPage(f, a).empty());
   }
-  EXPECT_EQ(f.TotalRecords(), 0);
+  EXPECT_EQ(*f.TotalRecords(), 0);
 }
 
 TEST(PageFile, ReadAndWriteAreAccounted) {
   PageFile f(4, 8);
-  f.Read(1);
-  f.Read(2);
-  f.Write(3);
+  Read(f, 1);
+  Read(f, 2);
+  Write(f, 3);
   EXPECT_EQ(f.stats().page_reads, 2);
   EXPECT_EQ(f.stats().page_writes, 1);
   EXPECT_EQ(f.stats().TotalAccesses(), 3);
 }
 
-TEST(PageFile, PeekAndRawPageAreFree) {
+TEST(PageFile, WriteReplacesTheWholePage) {
   PageFile f(4, 8);
-  f.Peek(1);
-  f.RawPage(2);
+  Put(f, 2, {Record{1, 1}, Record{2, 2}, Record{3, 3}});
+  const std::vector<Record> next = {Record{5, 5}};
+  ASSERT_TRUE(f.TryWrite(2, next.data(), next.data() + next.size()).ok());
+  Page scratch;
+  StatusOr<const Page*> read = f.TryRead(2, &scratch);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ((*read)->records(), next);
+}
+
+TEST(PageFile, RawReadAndRawWriteAreFree) {
+  PageFile f(4, 8);
+  Page scratch;
+  ASSERT_TRUE(f.RawRead(1, &scratch).ok());
+  Put(f, 2, {Record{1, 1}});
   EXPECT_EQ(f.stats().TotalAccesses(), 0);
+  EXPECT_EQ(PeekPage(f, 2).size(), 1);
 }
 
 TEST(PageFile, SeekVersusSequentialClassification) {
   PageFile f(10, 4);
-  f.Read(5);   // first access: seek
-  f.Read(6);   // adjacent: sequential
-  f.Read(6);   // same: sequential
-  f.Read(5);   // adjacent (backward): sequential
-  f.Read(9);   // jump: seek
-  f.Write(9);  // same: sequential
+  Read(f, 5);   // first access: seek
+  Read(f, 6);   // adjacent: sequential
+  Read(f, 6);   // same: sequential
+  Read(f, 5);   // adjacent (backward): sequential
+  Read(f, 9);   // jump: seek
+  Write(f, 9);  // same: sequential
   EXPECT_EQ(f.stats().seeks, 2);
   EXPECT_EQ(f.stats().sequential_accesses, 4);
 }
 
 TEST(PageFile, ResetStatsClearsAndRestartsSeekTracking) {
   PageFile f(4, 4);
-  f.Read(1);
-  f.Read(2);
+  Read(f, 1);
+  Read(f, 2);
   f.ResetStats();
   EXPECT_EQ(f.stats().TotalAccesses(), 0);
-  f.Read(3);  // first access after reset counts as a seek again
+  Read(f, 3);  // first access after reset counts as a seek again
   EXPECT_EQ(f.stats().seeks, 1);
 }
 
@@ -62,15 +91,16 @@ TEST(PageFile, LogicalAndPhysicalCountersSplit) {
   PageFile f(8, 4);
   // The classic accessors charge both sides (an unpooled caller always
   // pays the device)...
-  ASSERT_TRUE(f.TryRead(1).ok());
-  ASSERT_TRUE(f.TryWrite(2).ok());
+  Page scratch;
+  ASSERT_TRUE(f.TryRead(1, &scratch).ok());
+  ASSERT_TRUE(f.TryWrite(2, nullptr, nullptr).ok());
   EXPECT_EQ(f.stats().logical_reads, 1);
   EXPECT_EQ(f.stats().logical_writes, 1);
   EXPECT_EQ(f.stats().page_reads, 1);
   EXPECT_EQ(f.stats().page_writes, 1);
   // ...the pool's device accessors charge physical only...
-  ASSERT_TRUE(f.TryDeviceRead(3).ok());
-  ASSERT_TRUE(f.TryDeviceWrite(4).ok());
+  ASSERT_TRUE(f.TryDeviceRead(3, &scratch).ok());
+  ASSERT_TRUE(f.TryDeviceWrite(4, nullptr, nullptr).ok());
   EXPECT_EQ(f.stats().page_reads, 2);
   EXPECT_EQ(f.stats().page_writes, 2);
   EXPECT_EQ(f.stats().TotalLogical(), 2);
@@ -88,11 +118,12 @@ TEST(PageFile, FaultAndLatencyStillFireAfterSlowPathToggling) {
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailAddressRange(2, 2);
   f.set_fault_policy(policy);
-  EXPECT_FALSE(f.TryRead(2).ok());
+  Page scratch;
+  EXPECT_FALSE(f.TryRead(2, &scratch).ok());
   f.set_fault_policy(nullptr);
-  EXPECT_TRUE(f.TryRead(2).ok());
+  EXPECT_TRUE(f.TryRead(2, &scratch).ok());
   f.set_fault_policy(policy);
-  EXPECT_FALSE(f.TryWrite(2).ok());
+  EXPECT_FALSE(f.TryWrite(2, nullptr, nullptr).ok());
   // Faulted accesses were still charged (attempted-access accounting).
   EXPECT_EQ(f.stats().TotalAccesses(), 3);
 }
@@ -104,11 +135,11 @@ TEST(PageFile, FaultAndLatencyStillFireAfterSlowPathToggling) {
 TEST(PageFile, SequentialRunsSurviveCrossFileInterleaving) {
   PageFile a(16, 4);
   PageFile b(16, 4);
-  a.Read(7);   // seek (first access on a)
-  b.Read(13);  // far-away traffic on the other device
-  a.Read(8);   // sequential on a, despite b's access in between
-  b.Read(2);
-  a.Read(9);    // still sequential on a
+  Read(a, 7);   // seek (first access on a)
+  Read(b, 13);  // far-away traffic on the other device
+  Read(a, 8);   // sequential on a, despite b's access in between
+  Read(b, 2);
+  Read(a, 9);   // still sequential on a
   EXPECT_EQ(a.stats().seeks, 1);
   EXPECT_EQ(a.stats().sequential_accesses, 2);
   EXPECT_EQ(b.stats().seeks, 2);  // 13 then 2: both arm movements
@@ -116,26 +147,25 @@ TEST(PageFile, SequentialRunsSurviveCrossFileInterleaving) {
 
 TEST(PageFile, GloballyOrderedAcceptsGapsAndOrder) {
   PageFile f(4, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{1, 0}).ok());
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{5, 0}).ok());
+  Put(f, 1, {Record{1, 0}, Record{5, 0}});
   // page 2 left empty
-  ASSERT_TRUE(f.RawPage(3).Insert(Record{7, 0}).ok());
-  EXPECT_TRUE(f.GloballyOrdered());
-  EXPECT_EQ(f.TotalRecords(), 3);
+  Put(f, 3, {Record{7, 0}});
+  EXPECT_TRUE(*f.GloballyOrdered());
+  EXPECT_EQ(*f.TotalRecords(), 3);
 }
 
 TEST(PageFile, GloballyOrderedRejectsInversionAcrossPages) {
   PageFile f(3, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{10, 0}).ok());
-  ASSERT_TRUE(f.RawPage(2).Insert(Record{3, 0}).ok());
-  EXPECT_FALSE(f.GloballyOrdered());
+  Put(f, 1, {Record{10, 0}});
+  Put(f, 2, {Record{3, 0}});
+  EXPECT_FALSE(*f.GloballyOrdered());
 }
 
 TEST(PageFile, GloballyOrderedRejectsEqualBoundaryKeys) {
   PageFile f(3, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{10, 0}).ok());
-  ASSERT_TRUE(f.RawPage(2).Insert(Record{10, 1}).ok());
-  EXPECT_FALSE(f.GloballyOrdered());
+  Put(f, 1, {Record{10, 0}});
+  Put(f, 2, {Record{10, 1}});
+  EXPECT_FALSE(*f.GloballyOrdered());
 }
 
 TEST(IoStats, DifferenceAndAccumulate) {

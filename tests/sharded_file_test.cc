@@ -8,6 +8,7 @@
 // of stats aggregation are validated after the storm.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <memory>
@@ -21,7 +22,9 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "shard/sharded_dense_file.h"
+#include "storage/file_backend.h"
 #include "util/deadlock.h"
+#include "util/temp_dir.h"
 #include "workload/parallel_replayer.h"
 #include "workload/reference_model.h"
 #include "workload/workload.h"
@@ -402,10 +405,13 @@ TEST(ParallelReplayerTest, RangeMixesPartitionTheKeySpace) {
 // pool read, blocking fallback) against concurrent writers and drains,
 // with audit_every_command and certify_bound on so every interleaving
 // is auditor- and bound-certified. Run under TSan this is the data-race
-// battery for the reader-writer lock split.
+// battery for the reader-writer lock split. The sixth puts every shard
+// on its own FileBackend: the pages then live only on the device, so
+// concurrent readers pread into pool frames (pooled) or into their own
+// scratch pages (unpooled).
 class ShardedStormTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int, bool>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, int, bool, bool>> {};
 
 TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   const int num_shards = std::get<0>(GetParam());
@@ -413,6 +419,7 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   const int cache_frames = std::get<2>(GetParam());
   const int staging_entries = std::get<3>(GetParam());
   const bool read_mostly = std::get<4>(GetParam());
+  const bool on_files = std::get<5>(GetParam());
   const Key key_space = 4000;
   const int64_t ops_per_thread = read_mostly ? 1500 : 4000;
 
@@ -438,6 +445,16 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   ASSERT_GE(static_cast<Key>(options.num_shards * options.shard.num_pages *
                              options.shard.d),
             key_space);
+  ScopedTempDir dir("dsf-storm");
+  if (on_files) {
+    options.shard_backend_factory = [&dir](int shard, int64_t num_pages,
+                                           int64_t page_capacity) {
+      FileBackend::Options fb;
+      fb.directory = dir.path() + "/shard" + std::to_string(shard);
+      ::mkdir(fb.directory.c_str(), 0755);
+      return FileBackend::CreateFactory(fb)(num_pages, page_capacity);
+    };
+  }
   std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
 
   // Warm start: half the key space pre-loaded.
@@ -558,26 +575,31 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Storms, ShardedStormTest,
-    ::testing::Values(std::make_tuple(1, 4, 0, 0, false),
-                      std::make_tuple(4, 1, 0, 0, false),
-                      std::make_tuple(4, 4, 0, 0, false),
-                      std::make_tuple(8, 4, 0, 0, false),
-                      std::make_tuple(8, 8, 0, 0, false),
-                      std::make_tuple(4, 4, 8, 0, false),
-                      std::make_tuple(8, 8, 8, 0, false),
+    ::testing::Values(std::make_tuple(1, 4, 0, 0, false, false),
+                      std::make_tuple(4, 1, 0, 0, false, false),
+                      std::make_tuple(4, 4, 0, 0, false, false),
+                      std::make_tuple(8, 4, 0, 0, false, false),
+                      std::make_tuple(8, 8, 0, 0, false, false),
+                      std::make_tuple(4, 4, 8, 0, false, false),
+                      std::make_tuple(8, 8, 8, 0, false, false),
                       // Staged storms: memtable + drain under contention,
                       // without and with a per-shard pool (the latter runs
                       // the deferred-flush + volatile-key path too).
-                      std::make_tuple(4, 4, 0, 16, false),
-                      std::make_tuple(8, 8, 8, 16, false),
+                      std::make_tuple(4, 4, 0, 16, false, false),
+                      std::make_tuple(8, 8, 8, 16, false, false),
                       // Read-mostly shared-path storms: readers racing
                       // writers racing drains, audited and certified per
                       // command; the epoch pool-read branch needs frames
                       // to hit, so both pool-less and pooled shapes run.
-                      std::make_tuple(4, 4, 0, 16, true),
-                      std::make_tuple(8, 8, 8, 16, true)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int, int, int, bool>>&
-           param) {
+                      std::make_tuple(4, 4, 0, 16, true, false),
+                      std::make_tuple(8, 8, 8, 16, true, false),
+                      // Device storms, one FileBackend per shard: a
+                      // read-mostly pooled one (concurrent preads into
+                      // frames) and an unpooled one (into caller scratch).
+                      std::make_tuple(4, 4, 8, 16, true, true),
+                      std::make_tuple(4, 4, 0, 0, false, true)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<int, int, int, int, bool, bool>>& param) {
       std::string base = "S" + std::to_string(std::get<0>(param.param)) + "T" +
                          std::to_string(std::get<1>(param.param));
       const int frames = std::get<2>(param.param);
@@ -585,6 +607,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (frames > 0) base += "Pool" + std::to_string(frames);
       if (staged > 0) base += "Staged" + std::to_string(staged);
       if (std::get<4>(param.param)) base += "ReadMostly";
+      if (std::get<5>(param.param)) base += "OnFiles";
       return base;
     });
 

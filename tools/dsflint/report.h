@@ -31,7 +31,7 @@ enum class RuleKind {
   kStaleMetricConstant,
   // A SpanKind enumerator missing from a SpanKindToString exporter body.
   kUnhandledSpanKind,
-  // PageFile::RawPage called outside the storage layer.
+  // PageFile::RawRead / RawWrite called outside the storage layer.
   kRawPageIo,
   // A raw I/O syscall (open/pread/pwrite/fsync/...) outside the durable
   // storage backend.
