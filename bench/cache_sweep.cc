@@ -1,29 +1,25 @@
-// Buffer-pool sweep: pool size x workload skew under device latency.
+// Buffer-pool sweep: pool size x workload skew, in page accesses.
 //
 // Replays three single-client point-operation traces (Zipf-skewed,
-// uniform, fully sequential) against a device-resident DenseFile at pool
-// sizes 0 (direct to device), 1%, 5% and 20% of the file's pages, and
-// reports replayed-trace throughput, hit rate and write amplification per
-// configuration as JSON — the perf trajectory artifact tracked in
+// uniform, fully sequential) against a DenseFile at pool sizes 0 (direct
+// to device), 1%, 5% and 20% of the file's pages, and reports hit rate,
+// logical vs. physical traffic, write amplification, seeks and pool
+// counters per configuration as JSON — the artifact tracked in
 // BENCH_cache.json.
 //
-// The file is measured as a *device-resident* structure: every physical
-// page access sleeps for --page_latency_us (default 25us, NVMe class).
 // The pool converts the logical accesses the algorithms request into
-// fewer physical transfers — read hits are served from frames, repeated
-// writes combine at the tail of the dirty-order list — so throughput
-// scales with the miss traffic, not the request traffic. Zipf ranks map
-// to keys directly, making the hot set a contiguous low-key range whose
-// pages fit in a small pool: the headline configuration (5% pool, Zipf
-// reads/writes) targets >= 2x over the unpooled baseline. Uniform traffic
-// shows the honest worst case (little locality to cache), sequential
-// lookups the best (each page serves ~d consecutive gets).
+// fewer physical transfers: read hits are served from frames, repeated
+// writes combine at the tail of the dirty-order list. Zipf ranks map to
+// keys directly, making the hot set a contiguous low-key range whose
+// pages fit in a small pool. Uniform traffic shows the honest worst case
+// (little locality to cache), sequential lookups the best (each page
+// serves ~d consecutive gets). The sweep counts accesses only; wall time
+// on a real device is the ledger benchmark's job (bench/ledger).
 //
 // Usage: cache_sweep [--ops=N] [--num_pages=M] [--fill_percent=F]
-//                    [--theta=T] [--page_latency_us=U] [--out=PATH]
+//                    [--theta=T] [--out=PATH]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -46,9 +42,6 @@ struct Row {
   std::string workload;
   int64_t pool_frames = 0;
   double pool_percent = 0;
-  double wall_seconds = 0;
-  double ops_per_second = 0;
-  double speedup_vs_nopool = 1.0;
   double hit_rate = 0;
   double write_amplification = 0;
   IoStats io;
@@ -72,12 +65,11 @@ Status Apply(DenseFile& file, const Op& op) {
 }
 
 Row RunConfig(const std::string& workload, const Trace& trace,
-              int64_t num_pages, int64_t pool_frames, int64_t fill_percent,
-              int64_t page_latency_us) {
+              int64_t num_pages, int64_t pool_frames, int64_t fill_percent) {
   DenseFile::Options options;
   options.num_pages = num_pages;
   options.d = 8;
-  options.D = 36;  // same geometry as the sharding sweep (E14)
+  options.D = 36;  // same geometry as the ingest sweep (E18)
   options.cache_frames = pool_frames;
   StatusOr<std::unique_ptr<DenseFile>> created = DenseFile::Create(options);
   DSF_CHECK(created.ok()) << created.status();
@@ -94,21 +86,11 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   DSF_CHECK(file.BulkLoad(initial).ok());
   file.ResetIoStats();
   file.ResetCacheStats();
-  // The device model applies to the measured traffic only, not the load:
-  // a flat per-access latency (no seek charge), paid as a real sleep.
-  file.control().file().set_disk_model(
-      DiskModel{/*seek_ms=*/0,
-                /*transfer_ms=*/static_cast<double>(page_latency_us) * 1e-3},
-      /*sleep=*/page_latency_us > 0);
 
-  const auto start = std::chrono::steady_clock::now();
   for (const Op& op : trace) {
     const Status s = Apply(file, op);
     DSF_CHECK(s.ok() || s.IsAlreadyExists() || s.IsNotFound()) << s;
   }
-  const auto end = std::chrono::steady_clock::now();
-
-  file.control().file().set_disk_model(DiskModel{0, 0});
   DSF_CHECK(file.ValidateInvariants().ok());
 
   Row row;
@@ -116,9 +98,6 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   row.pool_frames = pool_frames;
   row.pool_percent = 100.0 * static_cast<double>(pool_frames) /
                      static_cast<double>(num_pages);
-  row.wall_seconds = std::chrono::duration<double>(end - start).count();
-  row.ops_per_second =
-      static_cast<double>(trace.size()) / row.wall_seconds;
   row.io = file.io_stats();
   row.cache = file.cache_stats();
   row.hit_rate =
@@ -136,14 +115,13 @@ Row RunConfig(const std::string& workload, const Trace& trace,
 
 void WriteJson(std::ostream& os, const std::vector<Row>& rows,
                int64_t num_pages, int64_t total_ops, int64_t fill_percent,
-               double theta, int64_t page_latency_us) {
+               double theta) {
   os << "{\n";
   os << "  \"benchmark\": \"cache_sweep\",\n";
   os << "  \"num_pages\": " << num_pages << ",\n";
   os << "  \"total_ops\": " << total_ops << ",\n";
   os << "  \"fill_percent\": " << fill_percent << ",\n";
   os << "  \"zipf_theta\": " << theta << ",\n";
-  os << "  \"page_latency_us\": " << page_latency_us << ",\n";
   os << "  \"workload_mix\": {\"insert\": " << kInsertFraction
      << ", \"delete\": " << kDeleteFraction << ", \"get\": "
      << 1.0 - kInsertFraction - kDeleteFraction << "},\n";
@@ -153,9 +131,6 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
     os << "    {\"workload\": \"" << r.workload << "\""
        << ", \"pool_frames\": " << r.pool_frames
        << ", \"pool_percent\": " << r.pool_percent
-       << ", \"wall_seconds\": " << r.wall_seconds
-       << ", \"ops_per_second\": " << r.ops_per_second
-       << ", \"speedup_vs_nopool\": " << r.speedup_vs_nopool
        << ", \"hit_rate\": " << r.hit_rate
        << ", \"write_amplification\": " << r.write_amplification
        << ", \"logical_reads\": " << r.io.logical_reads
@@ -176,26 +151,39 @@ int Main(int argc, char** argv) {
   int64_t num_pages = 4096;
   int64_t fill_percent = 80;
   double theta = 1.1;
-  int64_t page_latency_us = 25;
   std::string out = "-";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--ops=", 0) == 0) {
       total_ops = std::stoll(arg.substr(6));
+      if (total_ops < 1) {
+        std::cerr << "invalid flag: " << arg << " (need >= 1)\n";
+        return 1;
+      }
     } else if (arg.rfind("--num_pages=", 0) == 0) {
       num_pages = std::stoll(arg.substr(12));
     } else if (arg.rfind("--fill_percent=", 0) == 0) {
       fill_percent = std::stoll(arg.substr(15));
-      DSF_CHECK(fill_percent >= 1 && fill_percent <= 99);
+      if (fill_percent < 1 || fill_percent > 99) {
+        std::cerr << "invalid flag: " << arg << " (need 1..99)\n";
+        return 1;
+      }
     } else if (arg.rfind("--theta=", 0) == 0) {
       theta = std::stod(arg.substr(8));
-    } else if (arg.rfind("--page_latency_us=", 0) == 0) {
-      page_latency_us = std::stoll(arg.substr(18));
-      DSF_CHECK(page_latency_us >= 0);
     } else if (arg.rfind("--out=", 0) == 0) {
       out = arg.substr(6);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
+      return 1;
+    }
+  }
+  // Open the output before the sweep: an unwritable path fails now, not
+  // after the runs.
+  std::ofstream out_file;
+  if (out != "-") {
+    out_file.open(out);
+    if (!out_file.good()) {
+      std::cerr << "cannot open --out: " << out << "\n";
       return 1;
     }
   }
@@ -214,23 +202,17 @@ int Main(int argc, char** argv) {
   const std::vector<int64_t> pool_frames = {0, num_pages / 100,
                                             num_pages / 20, num_pages / 5};
 
-  bench::Section("E16: buffer-pool size x workload skew (page latency " +
-                 std::to_string(page_latency_us) + "us)");
-  bench::Table table({"workload", "pool", "pool %", "wall s", "Kops/s",
-                      "speedup", "hit rate", "write amp", "combines",
+  bench::Section("E16: buffer-pool size x workload skew");
+  bench::Table table({"workload", "pool", "pool %", "hit rate", "phys R",
+                      "phys W", "write amp", "seeks", "combines",
                       "flush runs"});
   std::vector<Row> rows;
   for (const auto& [name, trace] : workloads) {
-    double base_ops_per_second = 0;
     for (const int64_t frames : pool_frames) {
-      Row row = RunConfig(name, trace, num_pages, frames, fill_percent,
-                          page_latency_us);
-      if (frames == 0) base_ops_per_second = row.ops_per_second;
-      row.speedup_vs_nopool = row.ops_per_second / base_ops_per_second;
+      Row row = RunConfig(name, trace, num_pages, frames, fill_percent);
       table.Row(row.workload, row.pool_frames, row.pool_percent,
-                row.wall_seconds, row.ops_per_second * 1e-3,
-                row.speedup_vs_nopool, row.hit_rate,
-                row.write_amplification,
+                row.hit_rate, row.io.page_reads, row.io.page_writes,
+                row.write_amplification, row.io.seeks,
                 row.cache.write_combines, row.cache.flush_runs);
       rows.push_back(std::move(row));
     }
@@ -238,13 +220,9 @@ int Main(int argc, char** argv) {
   table.Print();
 
   if (out == "-") {
-    WriteJson(std::cout, rows, num_pages, total_ops, fill_percent, theta,
-              page_latency_us);
+    WriteJson(std::cout, rows, num_pages, total_ops, fill_percent, theta);
   } else {
-    std::ofstream f(out);
-    DSF_CHECK(f.good()) << "cannot open " << out;
-    WriteJson(f, rows, num_pages, total_ops, fill_percent, theta,
-              page_latency_us);
+    WriteJson(out_file, rows, num_pages, total_ops, fill_percent, theta);
     bench::Note("JSON written to " + out);
   }
   return 0;

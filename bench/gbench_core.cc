@@ -75,11 +75,11 @@ void BM_PageSearchStdLowerBound(benchmark::State& state) {
 }
 BENCHMARK(BM_PageSearchStdLowerBound)->Arg(8)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-// Raw accounted page access. Arg 0: fast path (no fault policy, no
-// latency) — the hot configuration every experiment without fault
-// injection runs in, reduced to one predicted-not-taken branch by the
-// precomputed slow-path flag. Arg 1: an installed (empty) FaultPolicy
-// forces the slow path, showing what the hoist saves.
+// Raw accounted page access. Arg 0: fast path (no fault policy) — the
+// hot configuration every experiment without fault injection runs in,
+// one predicted-not-taken branch on the policy pointer. Arg 1: an
+// installed (empty) FaultPolicy is consulted on every access, showing
+// what that branch saves.
 void BM_PageFileAccess(benchmark::State& state) {
   PageFile file(4096, 8);
   if (state.range(0) != 0) {

@@ -1,12 +1,10 @@
-// Ingest staging sweep: memtable size x workload under device latency.
+// Ingest staging sweep: memtable size x workload, in page accesses.
 //
-// Replays write-heavy traces against a device-resident DenseFile (the
-// seek-aware DiskModel with real sleeps: a seek costs --seek_us, a
-// sequential page transfer --transfer_us; fixed 256-frame pool) at
-// staging buffer sizes 0 (staging disabled — the baseline), 64, 256 and
-// 1024 entries, and reports throughput, physical traffic and
-// drain-scheduler counters per configuration as JSON — the perf
-// trajectory artifact tracked in BENCH_ingest.json.
+// Replays write-heavy traces against a DenseFile (fixed 256-frame pool)
+// at staging buffer sizes 0 (staging disabled — the baseline), 64, 256
+// and 1024 entries, and reports physical traffic, seeks and
+// drain-scheduler counters per configuration as JSON — the artifact
+// tracked in BENCH_ingest.json.
 //
 // Workloads:
 //   ascending_burst  The headline ingest shape: the file starts 50% full
@@ -21,8 +19,7 @@
 //                    deferred flush: the window's dirty pages (the same
 //                    target block plus a consecutive stretch of frontier
 //                    pages) flush as one mostly-sequential run, so the
-//                    per-op seek count collapses. Target: >= 3x ops/s
-//                    over staging disabled at the same pool config.
+//                    per-op write and seek counts collapse.
 //   uniform_mix      60% inserts / 20% deletes / 20% gets over the whole
 //                    key space — exercises the merged read view and
 //                    tombstone staging under no locality (honest case).
@@ -31,19 +28,14 @@
 // ordinary certified command, so the sweep doubles as evidence that the
 // drain scheduler never breaches the K*(4J+2) per-command envelope —
 // the run aborts on any bound violation, audit failure or invariant
-// break. The final Flush() (staged drains + pool write-back) is inside
-// the measured wall time, so staged configurations pay for durability
-// before the clock stops.
+// break. The counts include the final Flush() (staged drains + pool
+// write-back), so staged configurations pay for durability in the
+// figures. The sweep counts accesses only; wall time on a real device is
+// the ledger benchmark's job (bench/ledger).
 //
-// A second sweep replays a 4-thread disjoint-range mix against a
-// 4-shard file with a shared staging_bytes budget (split per shard,
-// drain-on-rotate active) via ParallelReplayer, staging on vs off.
-//
-// Usage: ingest_sweep [--ops=N] [--num_pages=M] [--seek_us=S]
-//                     [--transfer_us=U] [--threads=T] [--out=PATH]
+// Usage: ingest_sweep [--ops=N] [--num_pages=M] [--out=PATH]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -54,9 +46,7 @@
 #include "analysis/auditor.h"
 #include "bench_common.h"
 #include "core/dense_file.h"
-#include "shard/sharded_dense_file.h"
 #include "util/check.h"
-#include "workload/parallel_replayer.h"
 #include "workload/workload.h"
 
 namespace dsf {
@@ -71,9 +61,6 @@ struct Row {
   int64_t staging_entries = 0;
   int64_t drain_batch = 0;
   int64_t drain_access_budget = 0;
-  double wall_seconds = 0;
-  double ops_per_second = 0;
-  double speedup_vs_disabled = 1.0;
   double logical_per_op = 0;
   double physical_per_op = 0;
   IoStats io;
@@ -82,19 +69,6 @@ struct Row {
   int64_t bound_budget = 0;
   int64_t bound_max_accesses = 0;
   int64_t bound_violations = 0;
-};
-
-struct ShardRow {
-  bool staging = false;
-  int64_t staging_bytes = 0;
-  double wall_seconds = 0;
-  double ops_per_second = 0;
-  double speedup_vs_disabled = 1.0;
-  int64_t physical_writes = 0;
-  int64_t seeks = 0;
-  int64_t staging_puts = 0;
-  int64_t staging_drain_steps = 0;
-  int64_t staging_drained = 0;
 };
 
 Status Apply(DenseFile& file, const Op& op) {
@@ -130,7 +104,7 @@ Trace AscendingBurst(int64_t ops, Key first_key) {
 
 Row RunConfig(const std::string& workload, const Trace& trace,
               int64_t num_pages, int64_t staging_entries,
-              int64_t load_records, const DiskModel& disk) {
+              int64_t load_records) {
   DenseFile::Options options;
   options.num_pages = num_pages;
   options.d = 8;
@@ -151,20 +125,14 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   DSF_CHECK(file.BulkLoad(initial).ok());
   file.ResetIoStats();
   file.ResetCacheStats();
-  // The device model applies to the measured traffic only, not the load.
-  file.control().file().set_disk_model(disk, /*sleep=*/true);
 
-  const auto start = std::chrono::steady_clock::now();
   for (const Op& op : trace) {
     const Status s = Apply(file, op);
     DSF_CHECK(s.ok() || s.IsAlreadyExists() || s.IsNotFound()) << s;
   }
-  // Durability point inside the measured window: staged configurations
-  // pay for their deferred writes before the clock stops.
+  // Durability point inside the counted traffic: staged configurations
+  // pay for their deferred writes.
   DSF_CHECK(file.Flush().ok());
-  const auto end = std::chrono::steady_clock::now();
-
-  file.control().file().set_disk_model(DiskModel{0, 0});
   DSF_CHECK(file.ValidateInvariants().ok());
   const AuditReport audit = file.Audit();
   DSF_CHECK(audit.ok()) << audit.ToString();
@@ -177,8 +145,6 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   row.staging_entries = staging_entries;
   row.drain_batch = file.drain_batch();
   row.drain_access_budget = file.drain_access_budget();
-  row.wall_seconds = std::chrono::duration<double>(end - start).count();
-  row.ops_per_second = static_cast<double>(trace.size()) / row.wall_seconds;
   row.io = file.io_stats();
   row.cache = file.cache_stats();
   row.staging = file.staging_stats();
@@ -191,99 +157,13 @@ Row RunConfig(const std::string& workload, const Trace& trace,
   return row;
 }
 
-ShardRow RunShardedConfig(int num_threads, int64_t ops_per_thread,
-                          int64_t num_pages, int64_t staging_bytes,
-                          const DiskModel& disk) {
-  ShardedDenseFile::Options options;
-  options.num_shards = num_threads;
-  // Each shard keeps E18's full single-file geometry (per-shard M is NOT
-  // divided by S): E18b then isolates what sharding + concurrency do to
-  // the staging win, instead of also shrinking per-shard J — at M/S the
-  // burst's maintenance is already cheap and staging has nothing to save.
-  options.shard.num_pages = num_pages;
-  options.shard.d = 8;
-  options.shard.D = 36;
-  options.shard.certify_bound = true;
-  // E18's pool budget for every shard (cache_bytes splits across shards).
-  options.cache_bytes = static_cast<int64_t>(num_threads) * kPoolFrames *
-                        (options.shard.D + 1) *
-                        static_cast<int64_t>(sizeof(Record));
-  options.staging_bytes = staging_bytes;
-  const Key key_space =
-      static_cast<Key>(num_pages) * 8 * static_cast<Key>(num_threads);
-  options.key_space = key_space;
-  StatusOr<std::unique_ptr<ShardedDenseFile>> created =
-      ShardedDenseFile::Create(options);
-  DSF_CHECK(created.ok()) << created.status();
-  ShardedDenseFile& file = **created;
-
-  // Per-shard mirror of E18's ascending_burst: each shard's low half is
-  // pre-loaded with consecutive keys, then thread t streams an ascending
-  // burst just past its own shard's loaded prefix — thread ranges align
-  // with the uniform splitters, so each burst hits exactly one shard's
-  // staging buffer and device.
-  const Key range = key_space / num_threads;
-  const int64_t shard_capacity = options.shard.num_pages * options.shard.d;
-  const int64_t load_per_shard = shard_capacity / 2;
-  DSF_CHECK(ops_per_thread <= shard_capacity - load_per_shard)
-      << "per-shard burst would exceed shard capacity";
-  std::vector<Record> initial;
-  initial.reserve(static_cast<size_t>(load_per_shard) *
-                  static_cast<size_t>(num_threads));
-  std::vector<Trace> traces;
-  traces.reserve(static_cast<size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) {
-    const Key lo = static_cast<Key>(t) * range + 1;
-    for (int64_t i = 0; i < load_per_shard; ++i) {
-      const Key k = lo + static_cast<Key>(i);
-      initial.push_back(Record{k, k});
-    }
-    traces.push_back(
-        AscendingBurst(ops_per_thread, lo + static_cast<Key>(load_per_shard)));
-  }
-  DSF_CHECK(file.BulkLoad(initial).ok());
-  file.ResetStats();
-  // The device model applies to the measured traffic only, not the load.
-  file.SetDiskModel(disk, /*sleep=*/true);
-  ParallelReplayer::Options replay_options;
-  replay_options.num_threads = num_threads;
-  replay_options.flush_staging_at_end = true;
-  ParallelReplayer replayer(replay_options);
-  const ReplayResult result = replayer.Replay(file, traces);
-  DSF_CHECK(result.ok()) << result.first_unexpected_error;
-  file.SetDiskModel(DiskModel{0, 0}, /*sleep=*/false);
-  // Capture the replay's device traffic before the verification scans
-  // add theirs.
-  const IoStats io = file.io_stats();
-  DSF_CHECK(file.ValidateInvariants().ok());
-  const AuditReport audit = file.Audit();
-  DSF_CHECK(audit.ok()) << audit.ToString();
-
-  ShardRow row;
-  row.staging = staging_bytes > 0;
-  row.staging_bytes = staging_bytes;
-  row.wall_seconds = result.wall_seconds;
-  row.ops_per_second = result.OpsPerSecond();
-  row.physical_writes = io.page_writes;
-  row.seeks = io.seeks;
-  const StagingStats staging = file.staging_stats();
-  row.staging_puts = staging.puts;
-  row.staging_drain_steps = staging.drain_steps;
-  row.staging_drained = staging.drained_entries;
-  return row;
-}
-
 void WriteJson(std::ostream& os, const std::vector<Row>& rows,
-               const std::vector<ShardRow>& shard_rows, int64_t num_pages,
-               int64_t total_ops, const DiskModel& disk,
-               int num_threads) {
+               int64_t num_pages, int64_t total_ops) {
   os << "{\n";
   os << "  \"benchmark\": \"ingest_sweep\",\n";
   os << "  \"num_pages\": " << num_pages << ",\n";
   os << "  \"total_ops\": " << total_ops << ",\n";
   os << "  \"pool_frames\": " << kPoolFrames << ",\n";
-  os << "  \"seek_us\": " << disk.seek_ms * 1000.0 << ",\n";
-  os << "  \"transfer_us\": " << disk.transfer_ms * 1000.0 << ",\n";
   os << "  \"configs\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -291,9 +171,6 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
        << ", \"staging_entries\": " << r.staging_entries
        << ", \"drain_batch\": " << r.drain_batch
        << ", \"drain_access_budget\": " << r.drain_access_budget
-       << ", \"wall_seconds\": " << r.wall_seconds
-       << ", \"ops_per_second\": " << r.ops_per_second
-       << ", \"speedup_vs_disabled\": " << r.speedup_vs_disabled
        << ", \"logical_per_op\": " << r.logical_per_op
        << ", \"physical_per_op\": " << r.physical_per_op
        << ", \"physical_writes\": " << r.io.page_writes
@@ -315,48 +192,23 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
        << ", \"bound_violations\": " << r.bound_violations << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
-  os << "  \"sharded\": {\"threads\": " << num_threads
-     << ", \"shards\": " << num_threads << ", \"configs\": [\n";
-  for (size_t i = 0; i < shard_rows.size(); ++i) {
-    const ShardRow& r = shard_rows[i];
-    os << "    {\"staging\": " << (r.staging ? "true" : "false")
-       << ", \"staging_bytes\": " << r.staging_bytes
-       << ", \"wall_seconds\": " << r.wall_seconds
-       << ", \"ops_per_second\": " << r.ops_per_second
-       << ", \"speedup_vs_disabled\": " << r.speedup_vs_disabled
-       << ", \"physical_writes\": " << r.physical_writes
-       << ", \"seeks\": " << r.seeks
-       << ", \"staging_puts\": " << r.staging_puts
-       << ", \"staging_drain_steps\": " << r.staging_drain_steps
-       << ", \"staging_drained_entries\": " << r.staging_drained << "}"
-       << (i + 1 < shard_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]}\n}\n";
+  os << "  ]\n}\n";
 }
 
 int Main(int argc, char** argv) {
   int64_t total_ops = 5000;
   int64_t num_pages = 4096;
-  int64_t seek_us = 300;
-  int64_t transfer_us = 15;
-  int num_threads = 4;
   std::string out = "-";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--ops=", 0) == 0) {
       total_ops = std::stoll(arg.substr(6));
+      if (total_ops < 1) {
+        std::cerr << "invalid flag: " << arg << " (need >= 1)\n";
+        return 1;
+      }
     } else if (arg.rfind("--num_pages=", 0) == 0) {
       num_pages = std::stoll(arg.substr(12));
-    } else if (arg.rfind("--seek_us=", 0) == 0) {
-      seek_us = std::stoll(arg.substr(10));
-      DSF_CHECK(seek_us >= 0);
-    } else if (arg.rfind("--transfer_us=", 0) == 0) {
-      transfer_us = std::stoll(arg.substr(14));
-      DSF_CHECK(transfer_us >= 0);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      num_threads = static_cast<int>(std::stoll(arg.substr(10)));
-      DSF_CHECK(num_threads >= 1);
     } else if (arg.rfind("--out=", 0) == 0) {
       out = arg.substr(6);
     } else {
@@ -367,12 +219,23 @@ int Main(int argc, char** argv) {
 
   const int64_t capacity = num_pages * 8;  // d * M
   const int64_t load_records = capacity / 2;
-  DSF_CHECK(total_ops <= capacity - load_records)
-      << "burst would exceed file capacity";
+  if (total_ops > capacity - load_records) {
+    std::cerr << "invalid flag: --ops=" << total_ops
+              << " (the burst must fit the file's free half, <= "
+              << capacity - load_records << ")\n";
+    return 1;
+  }
+  // Open the output before the sweep: an unwritable path fails now, not
+  // after the runs.
+  std::ofstream out_file;
+  if (out != "-") {
+    out_file.open(out);
+    if (!out_file.good()) {
+      std::cerr << "cannot open --out: " << out << "\n";
+      return 1;
+    }
+  }
   const Key key_space = static_cast<Key>(capacity);
-  DiskModel disk;
-  disk.seek_ms = static_cast<double>(seek_us) * 1e-3;
-  disk.transfer_ms = static_cast<double>(transfer_us) * 1e-3;
 
   Rng mix_rng(20260808);
   const std::vector<std::pair<std::string, Trace>> workloads = {
@@ -384,66 +247,27 @@ int Main(int argc, char** argv) {
   };
   const std::vector<int64_t> staging_sizes = {0, 64, 256, 1024};
 
-  bench::Section("E18: ingest staging size x workload (seek " +
-                 std::to_string(seek_us) + "us, transfer " +
-                 std::to_string(transfer_us) + "us)");
-  bench::Table table({"workload", "staging", "batch", "wall s", "Kops/s",
-                      "speedup", "phys W", "seeks", "drains", "max acc",
+  bench::Section("E18: ingest staging size x workload");
+  bench::Table table({"workload", "staging", "batch", "logical/op",
+                      "phys/op", "phys W", "seeks", "drains", "max acc",
                       "budget"});
   std::vector<Row> rows;
   for (const auto& [name, trace] : workloads) {
-    double base_ops_per_second = 0;
     for (const int64_t staging : staging_sizes) {
-      Row row = RunConfig(name, trace, num_pages, staging, load_records,
-                          disk);
-      if (staging == 0) base_ops_per_second = row.ops_per_second;
-      row.speedup_vs_disabled = row.ops_per_second / base_ops_per_second;
+      Row row = RunConfig(name, trace, num_pages, staging, load_records);
       table.Row(row.workload, row.staging_entries, row.drain_batch,
-                row.wall_seconds, row.ops_per_second * 1e-3,
-                row.speedup_vs_disabled, row.io.page_writes, row.io.seeks,
-                row.staging.drain_steps, row.bound_max_accesses,
-                row.bound_budget);
+                row.logical_per_op, row.physical_per_op, row.io.page_writes,
+                row.io.seeks, row.staging.drain_steps,
+                row.bound_max_accesses, row.bound_budget);
       rows.push_back(std::move(row));
     }
   }
   table.Print();
 
-  bench::Section("E18b: sharded staging via parallel replay (" +
-                 std::to_string(num_threads) + " threads x " +
-                 std::to_string(num_threads) + " shards)");
-  bench::Table shard_table({"staging B", "wall s", "Kops/s", "speedup",
-                            "phys W", "seeks", "puts", "drains"});
-  std::vector<ShardRow> shard_rows;
-  const int64_t shard_staging_bytes =
-      static_cast<int64_t>(num_threads) * 256 *
-      static_cast<int64_t>(sizeof(StagedEntry));
-  double shard_base = 0;
-  for (const int64_t staging_bytes : {int64_t{0}, shard_staging_bytes}) {
-    // Every thread replays the full-length burst into its own shard:
-    // per-shard work matches E18's ascending_burst exactly (burst cost is
-    // superlinear in burst length, so splitting one burst S ways would
-    // compare against a much cheaper workload).
-    ShardRow row =
-        RunShardedConfig(num_threads, total_ops, num_pages, staging_bytes,
-                         disk);
-    if (staging_bytes == 0) shard_base = row.ops_per_second;
-    row.speedup_vs_disabled = row.ops_per_second / shard_base;
-    shard_table.Row(row.staging_bytes, row.wall_seconds,
-                    row.ops_per_second * 1e-3, row.speedup_vs_disabled,
-                    row.physical_writes, row.seeks, row.staging_puts,
-                    row.staging_drain_steps);
-    shard_rows.push_back(row);
-  }
-  shard_table.Print();
-
   if (out == "-") {
-    WriteJson(std::cout, rows, shard_rows, num_pages, total_ops, disk,
-              num_threads);
+    WriteJson(std::cout, rows, num_pages, total_ops);
   } else {
-    std::ofstream f(out);
-    DSF_CHECK(f.good()) << "cannot open " << out;
-    WriteJson(f, rows, shard_rows, num_pages, total_ops, disk,
-              num_threads);
+    WriteJson(out_file, rows, num_pages, total_ops);
     bench::Note("JSON written to " + out);
   }
   return 0;

@@ -7,15 +7,14 @@
 #   BENCH_core.json   gbench_core (google-benchmark JSON: calibrator
 #                     sync, Compact, insert/delete/get, page search and
 #                     raw page-access microbenchmarks)
-#   BENCH_shard.json  shard_scaling (threads x shards throughput sweep)
-#   BENCH_cache.json  cache_sweep (buffer-pool size x workload skew:
-#                     throughput, hit rate, write amplification)
+#   BENCH_cache.json  cache_sweep (buffer-pool size x workload skew: hit
+#                     rate, physical vs. logical accesses, write
+#                     amplification)
 #   BENCH_obs.json    obs_certify (live BoundCertifier replay: CONTROL 2
 #                     vs CONTROL 1 max-per-command access series and
 #                     violation counts against the Theorem-5.7 budget)
 #   BENCH_ingest.json ingest_sweep (E18: staged vs unstaged write bursts,
-#                     physical writes / seeks / drain-step certification,
-#                     single-file and sharded replay)
+#                     physical writes / seeks / drain-step certification)
 # The end-to-end numbers on the real FileBackend come from the ledger
 # benchmark instead: python3 bench/ledger/run.py (bench/ledger/README.md).
 #
@@ -55,17 +54,16 @@ fi
 
 if [[ "${1:-}" == "--bench" ]]; then
   cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-bench --target gbench_core shard_scaling cache_sweep \
-    obs_certify ingest_sweep
+  cmake --build build-bench --target gbench_core cache_sweep obs_certify \
+    ingest_sweep
   ./build-bench/bench/gbench_core \
     --benchmark_format=json \
     --benchmark_min_time=0.2 > BENCH_core.json
-  ./build-bench/bench/shard_scaling --out=BENCH_shard.json
   ./build-bench/bench/cache_sweep --out=BENCH_cache.json
   ./build-bench/bench/obs_certify --out=BENCH_obs.json
   ./build-bench/bench/ingest_sweep --out=BENCH_ingest.json
-  echo "Wrote BENCH_core.json, BENCH_shard.json, BENCH_cache.json," \
-    "BENCH_obs.json and BENCH_ingest.json"
+  echo "Wrote BENCH_core.json, BENCH_cache.json, BENCH_obs.json and" \
+    "BENCH_ingest.json"
   exit 0
 fi
 

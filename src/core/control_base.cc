@@ -69,7 +69,6 @@ ControlBase::ControlBase(const Config& config, DensitySpec logical_spec)
   if (config.cache_frames > 0) {
     BufferPool::Options pool_options;
     pool_options.num_frames = config.cache_frames;
-    pool_options.eviction = config.cache_eviction;
     pool_ = std::make_unique<BufferPool>(&file_, pool_options);
   }
 }
@@ -749,15 +748,12 @@ void ControlBase::SetObservability(MetricsRegistry* metrics,
   metrics_label_ = label;
   m_commands_ = nullptr;
   m_command_accesses_ = nullptr;
-  m_command_sim_ns_ = nullptr;
   m_redistributions_ = nullptr;
   m_redistribution_blocks_ = nullptr;
   if (metrics != nullptr) {
     m_commands_ = metrics->FindOrCreateCounter(kMetricCommands, label);
     m_command_accesses_ =
         metrics->FindOrCreateHistogram(kMetricCommandAccesses, label);
-    m_command_sim_ns_ =
-        metrics->FindOrCreateHistogram(kMetricCommandSimNs, label);
     m_redistributions_ =
         metrics->FindOrCreateCounter(kMetricRedistributions, label);
     m_redistribution_blocks_ =
@@ -839,9 +835,6 @@ Status ControlBase::EndCommand() {
   command_stats_.total_accesses += used;
   if (m_commands_ != nullptr) m_commands_->Increment();
   if (m_command_accesses_ != nullptr) m_command_accesses_->Observe(used);
-  if (m_command_sim_ns_ != nullptr) {
-    m_command_sim_ns_->Observe(delta.sim_elapsed_ns);
-  }
   // The certifier watches *logical* accesses: what the algorithm asked
   // for, independent of cache absorption (see obs/bound_certifier.h).
   if (certifier_ != nullptr) {

@@ -97,7 +97,6 @@ class ControlBase {
     // durability and the one-in-flight-command crash semantics are
     // unchanged — see docs/CACHING.md).
     int64_t cache_frames = 0;
-    BufferPool::Eviction cache_eviction = BufferPool::Eviction::kClock;
   };
 
   virtual ~ControlBase() = default;
@@ -424,8 +423,8 @@ class ControlBase {
                          BlockWriteOrder order = BlockWriteOrder::kAuto);
 
   // Full IoStats at BeginCommand, so EndCommand can split the delta into
-  // physical accesses (CommandStats), logical accesses (certifier) and
-  // simulated time (histogram) from one snapshot.
+  // physical accesses (CommandStats) and logical accesses (certifier)
+  // from one snapshot.
   IoStats command_start_stats_;
   CommandKind command_kind_ = CommandKind::kInsert;
   int64_t command_seq_ = 0;
@@ -436,7 +435,6 @@ class ControlBase {
   // registry (constraint 1 in obs/metrics.h: one branch per site).
   Counter* m_commands_ = nullptr;
   Histogram* m_command_accesses_ = nullptr;
-  Histogram* m_command_sim_ns_ = nullptr;
   Counter* m_redistributions_ = nullptr;
   Histogram* m_redistribution_blocks_ = nullptr;
 };

@@ -51,7 +51,6 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
     return Status::InvalidArgument("cache_frames must be >= 0");
   }
   config.cache_frames = options.cache_frames;
-  config.cache_eviction = options.cache_eviction;
   if (options.staging_entries < 0 || options.staging_bytes < 0 ||
       options.drain_batch < 0) {
     return Status::InvalidArgument(

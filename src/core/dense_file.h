@@ -65,7 +65,6 @@ class DenseFile {
     // resident pages for free, and dirty pages are flushed in crash-safe
     // order at the end of each command. See docs/CACHING.md.
     int64_t cache_frames = 0;
-    BufferPool::Eviction cache_eviction = BufferPool::Eviction::kClock;
     // Run the full invariant auditor (analysis/auditor.h) after every
     // mutating command that completed without a device fault, surfacing
     // any violation as a Corruption status. O(M) per command — a test

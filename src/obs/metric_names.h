@@ -24,9 +24,6 @@ namespace dsf {
 inline constexpr char kMetricCommands[] = "dsf_commands_total";
 // Histogram: logical page accesses per command — the paper's cost metric.
 inline constexpr char kMetricCommandAccesses[] = "dsf_command_accesses";
-// Histogram: simulated device time per command, in nanoseconds, from the
-// unified DiskModel charge (storage/io_stats.h sim_elapsed_ns).
-inline constexpr char kMetricCommandSimNs[] = "dsf_command_sim_ns";
 
 // --- CONTROL 2 maintenance (core/control2.cc) ---
 inline constexpr char kMetricShifts[] = "dsf_shifts_total";

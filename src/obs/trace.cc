@@ -36,8 +36,7 @@ std::string SpanEvent::ToJson() const {
      << ",\"logical_writes\":" << io.logical_writes
      << ",\"page_reads\":" << io.page_reads
      << ",\"page_writes\":" << io.page_writes << ",\"seeks\":" << io.seeks
-     << ",\"sequential\":" << io.sequential_accesses
-     << ",\"sim_ns\":" << io.sim_elapsed_ns << "}";
+     << ",\"sequential\":" << io.sequential_accesses << "}";
   return os.str();
 }
 

@@ -20,7 +20,7 @@
 // DumpJsonLines() renders one JSON object per line (JSONL), fields:
 //   {"seq":N,"kind":"SHIFT","a":...,"b":...,
 //    "logical_reads":...,"logical_writes":...,
-//    "page_reads":...,"page_writes":...,"seeks":...,"sim_ns":...}
+//    "page_reads":...,"page_writes":...,"seeks":...,"sequential":...}
 // `a` and `b` are span-kind-specific details documented on SpanKind.
 
 #ifndef DSF_OBS_TRACE_H_
@@ -56,8 +56,8 @@ struct SpanEvent {
   int64_t seq = 0;
   int64_t a = 0;  // see SpanKind
   int64_t b = 0;  // see SpanKind
-  // IoStats delta across the span: logical vs. physical accesses, seek /
-  // sequential split and simulated elapsed time, all from one tracker.
+  // IoStats delta across the span: logical vs. physical accesses and the
+  // seek / sequential split, all from one tracker.
   IoStats io;
 
   std::string ToJson() const;

@@ -658,13 +658,6 @@ CommandStats ShardedDenseFile::command_stats() const {
   return total;
 }
 
-void ShardedDenseFile::SetDiskModel(const DiskModel& model, bool sleep) {
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    shard->file->control().file().set_disk_model(model, sleep);
-  }
-}
-
 void ShardedDenseFile::PublishMetrics() const {
   MetricsRegistry* registry = options_.shard.metrics;
   if (registry == nullptr) return;

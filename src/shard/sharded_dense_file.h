@@ -196,12 +196,6 @@ class ShardedDenseFile {
   CommandStats shard_command_stats(int shard) const;
   int64_t shard_size(int shard) const;
 
-  // Installs the simulated device model on every shard's page store (see
-  // PageFile::set_disk_model). Each shard models its own device, so with
-  // `sleep` concurrent commands on different shards overlap their
-  // page-access waits.
-  void SetDiskModel(const DiskModel& model, bool sleep);
-
   // Publishes the current per-shard load distribution into the metrics
   // registry the shards were created with (Options::shard.metrics):
   // one kMetricShardRecords gauge per shard (label `shard="i"`) plus the

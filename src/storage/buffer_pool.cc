@@ -85,10 +85,7 @@ BufferPool::~BufferPool() {
 #endif
 }
 
-void BufferPool::Touch(Frame& f) {
-  f.ref = true;
-  f.lru_tick = ++tick_;
-}
+void BufferPool::Touch(Frame& f) { f.ref = true; }
 
 StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
   if (address < 1 || address > file_->num_pages()) {
@@ -147,29 +144,17 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
 StatusOr<int64_t> BufferPool::EvictFrame() {
   const int64_t n = static_cast<int64_t>(frames_.size());
   int64_t victim = -1;
-  if (options_.eviction == Eviction::kClock) {
-    // Second chance: up to two sweeps — the first clears ref bits, the
-    // second must find an unpinned frame unless all are pinned.
-    for (int64_t step = 0; step < 2 * n && victim < 0; ++step) {
-      Frame& f = frames_[static_cast<size_t>(clock_hand_)];
-      clock_hand_ = (clock_hand_ + 1) % n;
-      if (f.address == 0 || f.pins > 0) continue;
-      if (f.ref) {
-        f.ref = false;
-        continue;
-      }
-      victim = (&f - frames_.data());
+  // CLOCK (second chance): up to two sweeps — the first clears ref bits,
+  // the second must find an unpinned frame unless all are pinned.
+  for (int64_t step = 0; step < 2 * n && victim < 0; ++step) {
+    Frame& f = frames_[static_cast<size_t>(clock_hand_)];
+    clock_hand_ = (clock_hand_ + 1) % n;
+    if (f.address == 0 || f.pins > 0) continue;
+    if (f.ref) {
+      f.ref = false;
+      continue;
     }
-  } else {
-    int64_t best_tick = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      const Frame& f = frames_[static_cast<size_t>(i)];
-      if (f.address == 0 || f.pins > 0) continue;
-      if (victim < 0 || f.lru_tick < best_tick) {
-        victim = i;
-        best_tick = f.lru_tick;
-      }
-    }
+    victim = (&f - frames_.data());
   }
   if (victim < 0) {
     return Status::ResourceExhausted(

@@ -175,14 +175,8 @@ class PageGuard {
 
 class BufferPool {
  public:
-  enum class Eviction {
-    kClock,  // second-chance sweep (default)
-    kLru,    // exact least-recently-used
-  };
-
   struct Options {
     int64_t num_frames = 0;
-    Eviction eviction = Eviction::kClock;
   };
 
   struct Stats {
@@ -360,7 +354,6 @@ class BufferPool {
     bool dirty = false;
     bool free_write = false;  // dirty content is "page becomes empty"
     bool ref = false;         // CLOCK second-chance bit
-    int64_t lru_tick = 0;
     int64_t dirty_seq = 0;    // serial stamped when going clean -> dirty
     const char* owner = nullptr;            // last pinner's tag
     // Epoch-read stability counter (see the header note): odd while a
@@ -437,7 +430,6 @@ class BufferPool {
   // front = dirtied earliest
   std::list<int64_t> dirty_order_ DSF_GUARDED_BY(mu_);
   int64_t clock_hand_ DSF_GUARDED_BY(mu_) = 0;
-  int64_t tick_ DSF_GUARDED_BY(mu_) = 0;
   int64_t next_dirty_seq_ DSF_GUARDED_BY(mu_) = 0;
   int64_t live_guards_ DSF_GUARDED_BY(mu_) = 0;
   // Keys created after the last durability point (see NoteVolatile).

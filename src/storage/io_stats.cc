@@ -17,7 +17,6 @@ IoStats IoStats::operator-(const IoStats& other) const {
       ClampedDiff(sequential_accesses, other.sequential_accesses);
   out.logical_reads = ClampedDiff(logical_reads, other.logical_reads);
   out.logical_writes = ClampedDiff(logical_writes, other.logical_writes);
-  out.sim_elapsed_ns = ClampedDiff(sim_elapsed_ns, other.sim_elapsed_ns);
   return out;
 }
 
@@ -28,13 +27,12 @@ IoStats& IoStats::operator+=(const IoStats& other) {
   sequential_accesses += other.sequential_accesses;
   logical_reads += other.logical_reads;
   logical_writes += other.logical_writes;
-  sim_elapsed_ns += other.sim_elapsed_ns;
   return *this;
 }
 
 void IoStats::Reset() { *this = IoStats(); }
 
-int64_t AccessTracker::OnAccess(int64_t address, bool is_write) {
+void AccessTracker::OnAccess(int64_t address, bool is_write) {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   if (is_write) {
     page_writes_.fetch_add(1, kRelaxed);
@@ -45,17 +43,12 @@ int64_t AccessTracker::OnAccess(int64_t address, bool is_write) {
   // access as the new one; each access classifies against its global
   // predecessor (see the class comment on concurrent approximation).
   const int64_t prev = last_address_.exchange(address, kRelaxed);
-  int64_t charge;
   if (prev >= 0 &&
       (address == prev || address == prev + 1 || address == prev - 1)) {
     sequential_accesses_.fetch_add(1, kRelaxed);
-    charge = sequential_charge_ns_;
   } else {
     seeks_.fetch_add(1, kRelaxed);
-    charge = seek_charge_ns_;
   }
-  sim_elapsed_ns_.fetch_add(charge, kRelaxed);
-  return charge;
 }
 
 void AccessTracker::OnLogical(bool is_write) {
@@ -76,7 +69,6 @@ IoStats AccessTracker::stats() const {
   out.sequential_accesses = sequential_accesses_.load(kRelaxed);
   out.logical_reads = logical_reads_.load(kRelaxed);
   out.logical_writes = logical_writes_.load(kRelaxed);
-  out.sim_elapsed_ns = sim_elapsed_ns_.load(kRelaxed);
   return out;
 }
 
@@ -88,7 +80,6 @@ void AccessTracker::Reset() {
   sequential_accesses_.store(0, kRelaxed);
   logical_reads_.store(0, kRelaxed);
   logical_writes_.store(0, kRelaxed);
-  sim_elapsed_ns_.store(0, kRelaxed);
   last_address_.store(-1, kRelaxed);
 }
 
@@ -97,8 +88,7 @@ std::string IoStats::ToString() const {
   os << "reads=" << page_reads << " writes=" << page_writes
      << " seeks=" << seeks << " sequential=" << sequential_accesses
      << " logical_reads=" << logical_reads
-     << " logical_writes=" << logical_writes
-     << " sim_elapsed_ns=" << sim_elapsed_ns;
+     << " logical_writes=" << logical_writes;
   return os.str();
 }
 

@@ -33,16 +33,6 @@ struct IoStats {
   int64_t logical_reads = 0;
   int64_t logical_writes = 0;
 
-  // Simulated device time: the sum of the per-access charges the tracker
-  // applied at classification time (seek accesses pay the seek charge,
-  // sequential accesses the transfer charge — see SetChargeNs). This is
-  // the single source of truth for elapsed simulated time: the optional
-  // real sleep in PageFile and any latency histogram both consume the
-  // SAME per-access charge, so coalesced flush runs (one seek + N
-  // sequential transfers) can never make the two disagree. 0 until a
-  // charge model is installed.
-  int64_t sim_elapsed_ns = 0;
-
   int64_t TotalAccesses() const { return page_reads + page_writes; }
   int64_t TotalLogical() const { return logical_reads + logical_writes; }
 
@@ -85,26 +75,12 @@ struct IoStats {
 // Reset() is not concurrency-safe; callers quiesce first (tests do).
 class AccessTracker {
  public:
-  // Charges one *physical* access (device transfer + arm movement) and
-  // returns the simulated nanoseconds this access cost under the
-  // installed charge model (0 when none): the seek charge when the
-  // access moved the arm, the sequential charge otherwise. The caller
-  // (PageFile) sleeps exactly this value when real sleeping is enabled,
-  // so wall-clock sleeps, sim_elapsed_ns and latency histograms all
-  // derive from this one classification.
-  int64_t OnAccess(int64_t address, bool is_write);
+  // Charges one *physical* access (device transfer + arm movement).
+  void OnAccess(int64_t address, bool is_write);
 
   // Charges one *logical* access (the algorithm asked for the page; a
   // buffer pool may or may not turn it into physical traffic).
   void OnLogical(bool is_write);
-
-  // Installs the per-access time charges. Derive them from a DiskModel
-  // (seek accesses pay seek + transfer, sequential ones transfer only)
-  // or pass one uniform value for the legacy flat-latency device.
-  void SetChargeNs(int64_t seek_ns, int64_t sequential_ns) {
-    seek_charge_ns_ = seek_ns;
-    sequential_charge_ns_ = sequential_ns;
-  }
 
   // Consistent-enough snapshot of the counters (each field individually
   // exact; the set may straddle a concurrent access). By value: the
@@ -119,10 +95,7 @@ class AccessTracker {
   std::atomic<int64_t> sequential_accesses_{0};
   std::atomic<int64_t> logical_reads_{0};
   std::atomic<int64_t> logical_writes_{0};
-  std::atomic<int64_t> sim_elapsed_ns_{0};
   std::atomic<int64_t> last_address_{-1};
-  int64_t seek_charge_ns_ = 0;
-  int64_t sequential_charge_ns_ = 0;
 };
 
 }  // namespace dsf

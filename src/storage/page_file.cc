@@ -1,8 +1,5 @@
 #include "storage/page_file.h"
 
-#include <chrono>
-#include <thread>
-
 #include "util/check.h"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -29,27 +26,12 @@ Status PageFile::AddressError(const char* op, Address address) const {
                             std::to_string(num_pages_) + "]");
 }
 
-// Fault charging and latency sleeping, in the order the fast path used to
-// interleave them: the access is already charged to the tracker by the
-// caller (counters AND sim_elapsed_ns both follow the charged-before-
-// consult rule), the policy is consulted, and only a surviving access
-// pays the real sleep — for exactly the nanoseconds the tracker charged,
-// so wall time and sim_elapsed_ns derive from one classification.
-Status PageFile::SlowPathAccess(Address address, bool is_write,
-                                int64_t charge_ns) {
-  if (fault_policy_ != nullptr) {
-    DSF_RETURN_IF_ERROR(fault_policy_->OnAccess(address, is_write));
-  }
-  if (sleep_on_access_ && charge_ns > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(charge_ns));
-  }
-  return Status::OK();
-}
-
+// An injected fault still costs the access: the counters are charged
+// before the policy is consulted.
 Status PageFile::Charge(Address address, bool is_write) {
-  const int64_t charge_ns = tracker_.OnAccess(address, is_write);
-  if (DSF_PREDICT_FALSE(slow_path_)) {
-    return SlowPathAccess(address, is_write, charge_ns);
+  tracker_.OnAccess(address, is_write);
+  if (DSF_PREDICT_FALSE(fault_policy_ != nullptr)) {
+    return fault_policy_->OnAccess(address, is_write);
   }
   return Status::OK();
 }

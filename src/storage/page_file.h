@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/disk_model.h"
 #include "storage/fault_injection.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -80,9 +79,8 @@ class PageFile {
   Status TryWrite(Address address, const Record* begin, const Record* end);
 
   // Physical-only access: charges the device counters (seek/sequential
-  // classification, fault consultation, simulated latency) without the
-  // logical counters. Used by the buffer pool for miss fills and
-  // write-back.
+  // classification, fault consultation) without the logical counters.
+  // Used by the buffer pool for miss fills and write-back.
   StatusOr<const Page*> TryDeviceRead(Address address, Page* scratch);
   Status TryDeviceWrite(Address address, const Record* begin,
                         const Record* end);
@@ -100,7 +98,6 @@ class PageFile {
   // TryRead/TryWrite. Shared so tests can keep steering it mid-run.
   void set_fault_policy(std::shared_ptr<FaultPolicy> policy) {
     fault_policy_ = std::move(policy);
-    UpdateSlowPath();
   }
   FaultPolicy* fault_policy() const { return fault_policy_.get(); }
 
@@ -127,25 +124,6 @@ class PageFile {
   IoStats stats() const { return tracker_.stats(); }
   void ResetStats();
 
-  // Simulated device latency. A seek access charges SeekChargeNs, a
-  // sequential access SequentialChargeNs — so a coalesced flush run of
-  // R consecutive pages costs one seek charge plus R-1 transfer charges
-  // — accumulated into IoStats::sim_elapsed_ns and, when `sleep` is set,
-  // also paid as a real sleep on every accounted access. No model (the
-  // default) keeps the file purely in-memory. Experiments use this to
-  // model disk/flash-resident files, where page accesses — the paper's
-  // cost metric — dominate command time; sleeps on different PageFile
-  // instances overlap, as independent devices would. RawRead/RawWrite
-  // stay free, mirroring the accounting rule above. A flat per-access
-  // latency L is DiskModel{seek_ms = 0, transfer_ms = L}. Both the
-  // accounting and the sleep read the AccessTracker's single charge
-  // model, so they can never disagree.
-  void set_disk_model(const DiskModel& model, bool sleep = false) {
-    tracker_.SetChargeNs(model.SeekChargeNs(), model.SequentialChargeNs());
-    sleep_on_access_ = sleep;
-    UpdateSlowPath();
-  }
-
   // Total records across all pages (O(M) unaccounted reads; for
   // validation and tests).
   StatusOr<int64_t> TotalRecords() const;
@@ -155,18 +133,9 @@ class PageFile {
   StatusOr<bool> GloballyOrdered() const;
 
  private:
-  // Fault consultation and the latency sleep both live off the hot path:
-  // Charge tests the single precomputed `slow_path_` flag (one
-  // predicted-not-taken branch per access) and only then pays for the
-  // two checks. The flag is maintained by the setters above, the only
-  // places the policy or latency can change.
-  void UpdateSlowPath() {
-    slow_path_ = fault_policy_ != nullptr || sleep_on_access_;
-  }
-  // Charges one physical access to `address` and runs the slow-path
-  // checks; an injected fault is returned after the charge.
+  // Charges one physical access to `address`, then consults the fault
+  // policy; an injected fault is returned after the charge.
   Status Charge(Address address, bool is_write);
-  Status SlowPathAccess(Address address, bool is_write, int64_t charge_ns);
   Status AddressError(const char* op, Address address) const;
   // The device transfer behind every read and write, accounted or not.
   StatusOr<const Page*> LoadPage(Address address, Page* scratch) const;
@@ -184,8 +153,6 @@ class PageFile {
   // buffer serves them all.
   Page write_page_;
   bool dirty_since_sync_ = false;
-  bool sleep_on_access_ = false;
-  bool slow_path_ = false;
 };
 
 }  // namespace dsf

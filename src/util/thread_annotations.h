@@ -117,18 +117,18 @@ class DSF_SCOPED_CAPABILITY MutexLock {
 // (Lock/Unlock/TryLock); readers take the shared side
 // (ReaderLock/ReaderUnlock/ReaderTryLock).
 //
-// NOT std::shared_mutex, whose admission dynamics measured badly on
-// read-mostly device-resident shards (bench/shard_scaling --mode=rwlock:
-// ~1.6x read scaling at 8 threads where pure readers scale ~8x). This
+// NOT std::shared_mutex, whose admission policy is unspecified: on a
+// read-mostly shard it may leave a writer behind an endless reader
+// stream, or admit readers one at a time behind queued writers. This
 // lock batches: a waiting writer gates NEW readers, drains the in-flight
 // ones (bounded by one command's shared hold), takes its exclusive turn,
 // and on release wakes the entire queued reader batch together — so a
 // write stream costs one drain-plus-hold window per write, not a
 // per-reader admission collapse, and between writer turns readers are
 // admitted continuously. Reader-preference (admit readers whenever no
-// writer *holds*) was tried and measured no better: a writer then needs
-// a spontaneous all-readers-idle instant to enter, which an 8-thread
-// read stream essentially never produces, and the clients convoy behind
+// writer *holds*) does not fit either: a writer then needs a
+// spontaneous all-readers-idle instant to enter, which a busy read
+// stream essentially never produces, and the clients convoy behind
 // their own stalled writes. Writers queue FIFO-ish via notify_one;
 // sustained write floods can starve readers, which a 90/10 shard never
 // sees — and each blocked reader is a client thread that stopped

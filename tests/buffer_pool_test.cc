@@ -37,11 +37,9 @@ class BufferPoolTest : public ::testing::Test {
  protected:
   BufferPoolTest() : file_(/*num_pages=*/64, /*page_capacity=*/8) {}
 
-  std::unique_ptr<BufferPool> MakePool(
-      int64_t frames, BufferPool::Eviction eviction = BufferPool::Eviction::kClock) {
+  std::unique_ptr<BufferPool> MakePool(int64_t frames) {
     BufferPool::Options options;
     options.num_frames = frames;
-    options.eviction = eviction;
     return std::make_unique<BufferPool>(&file_, options);
   }
 
@@ -185,58 +183,49 @@ TEST_F(BufferPoolTest, EvictionFlushesReadPinnedDirtyPrefix) {
   EXPECT_EQ(pool->dirty_pages(), 0);
 }
 
-// Eviction must preserve every written record regardless of policy: the
-// logical view (frame if resident, else device) never loses data.
-class EvictionPolicyTest
-    : public ::testing::TestWithParam<BufferPool::Eviction> {};
-
-TEST_P(EvictionPolicyTest, EvictionWritesBackDirtyVictims) {
-  PageFile file(/*num_pages=*/64, /*page_capacity=*/8);
-  BufferPool::Options options;
-  options.num_frames = 2;
-  options.eviction = GetParam();
-  BufferPool pool(&file, options);
-
+// Eviction must preserve every written record: the logical view (frame
+// if resident, else device) never loses data.
+TEST_F(BufferPoolTest, EvictionWritesBackDirtyVictims) {
+  auto pool = MakePool(2);
   for (Address a = 1; a <= 8; ++a) {
-    StatusOr<PageGuard> g = pool.PinWrite(a);
+    StatusOr<PageGuard> g = pool->PinWrite(a);
     ASSERT_TRUE(g.ok());
     const Key k = static_cast<Key>(a);
     ASSERT_TRUE(g->mutable_page()->Insert(Record{k, k * 10}).ok());
   }
-  EXPECT_EQ(pool.stats().evictions, 6);
-  EXPECT_EQ(pool.resident_pages(), 2);
+  EXPECT_EQ(pool->stats().evictions, 6);
+  EXPECT_EQ(pool->resident_pages(), 2);
 
-  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool->FlushAll().ok());
   for (Address a = 1; a <= 8; ++a) {
-    ASSERT_EQ(PeekPage(file, a).size(), 1) << "page " << a;
-    EXPECT_EQ(PeekPage(file, a).MinKey(), static_cast<Key>(a));
+    ASSERT_EQ(PeekPage(file_, a).size(), 1) << "page " << a;
+    EXPECT_EQ(PeekPage(file_, a).MinKey(), static_cast<Key>(a));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, EvictionPolicyTest,
-                         ::testing::Values(BufferPool::Eviction::kClock,
-                                           BufferPool::Eviction::kLru),
-                         [](const ::testing::TestParamInfo<
-                             BufferPool::Eviction>& param) {
-                           return param.param == BufferPool::Eviction::kClock
-                                      ? "Clock"
-                                      : "Lru";
-                         });
+// CLOCK's second chance: a page referenced again after the hand cleared
+// its bit is passed over by the next eviction, which takes the first
+// unreferenced page after it instead.
+TEST_F(BufferPoolTest, ClockSparesAPageReferencedAfterTheHandPassed) {
+  for (const bool rereference : {false, true}) {
+    SCOPED_TRACE(rereference ? "page 2 referenced again" : "no reference");
+    auto pool = MakePool(3);
+    for (Address a = 1; a <= 4; ++a) ASSERT_TRUE(pool->PinRead(a).ok());
+    // Loading page 4 took the hand once around the three frames: it
+    // cleared every bit, evicted page 1 and now rests on page 2's frame,
+    // whose bit is clear.
+    ASSERT_EQ(pool->PeekFrame(1), nullptr);
+    if (rereference) {
+      ASSERT_TRUE(pool->PinRead(2).ok());
+    }
+    ASSERT_TRUE(pool->PinRead(5).ok());
 
-TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
-  SeedPage(1, 1);
-  SeedPage(2, 2);
-  SeedPage(3, 3);
-  auto pool = MakePool(2, BufferPool::Eviction::kLru);
-
-  ASSERT_TRUE(pool->PinRead(1).ok());
-  ASSERT_TRUE(pool->PinRead(2).ok());
-  ASSERT_TRUE(pool->PinRead(1).ok());  // page 1 now the most recent
-  ASSERT_TRUE(pool->PinRead(3).ok());  // must evict page 2
-
-  EXPECT_NE(pool->PeekFrame(1), nullptr);
-  EXPECT_EQ(pool->PeekFrame(2), nullptr);
-  EXPECT_NE(pool->PeekFrame(3), nullptr);
+    EXPECT_EQ(pool->PeekFrame(2) != nullptr, rereference);
+    EXPECT_EQ(pool->PeekFrame(3) != nullptr, !rereference);
+    EXPECT_NE(pool->PeekFrame(4), nullptr);
+    EXPECT_NE(pool->PeekFrame(5), nullptr);
+    EXPECT_EQ(pool->stats().evictions, 2);
+  }
 }
 
 TEST_F(BufferPoolTest, WriteBackFaultLeavesFrameDirtyAndPoolConsistent) {

@@ -1,9 +1,8 @@
 // Tests for the observability subsystem (src/obs/): histogram bucket
 // geometry, striped-counter exactness under a thread storm (run under
 // -DDSF_SANITIZE=thread for the race check), registry handle identity,
-// exporters, tracer ring semantics, the BoundCertifier report, the
-// null-registry zero-overhead guarantee, and the single-source
-// simulated-time accounting shared by IoStats and the latency sleep.
+// exporters, tracer ring semantics, the BoundCertifier report and the
+// null-registry zero-overhead guarantee.
 
 #include <array>
 #include <atomic>
@@ -21,9 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/sharded_dense_file.h"
-#include "storage/disk_model.h"
 #include "storage/io_stats.h"
-#include "storage/page_file.h"
 #include "util/random.h"
 #include "workload/parallel_replayer.h"
 #include "workload/workload.h"
@@ -464,7 +461,6 @@ TEST(ObsWiringTest, NullRegistryLeavesIoStatsIdentical) {
   EXPECT_EQ(a.sequential_accesses, b.sequential_accesses);
   EXPECT_EQ(a.logical_reads, b.logical_reads);
   EXPECT_EQ(a.logical_writes, b.logical_writes);
-  EXPECT_EQ(a.sim_elapsed_ns, b.sim_elapsed_ns);
 
   const BufferPool::Stats ca = (*plain)->cache_stats();
   const BufferPool::Stats cb = (*instrumented)->cache_stats();
@@ -535,44 +531,6 @@ TEST(ObsWiringTest, CompactKeepsTheEnvelope) {
   ASSERT_TRUE((*file)->Insert(100, 1).ok());
   EXPECT_EQ(report->commands_checked, checked + 1);
   EXPECT_TRUE(report->ok()) << report->ToString();
-}
-
-TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
-  // Flat latency (no seek charge): every access charges exactly the
-  // transfer time into sim_elapsed_ns — the same number the real sleep
-  // consumes.
-  PageFile file(/*num_pages=*/16, /*page_capacity=*/4);
-  DiskModel flat;
-  flat.seek_ms = 0;
-  flat.transfer_ms = 1e-4;  // 100 ns
-  file.set_disk_model(flat);
-  Page scratch;
-  ASSERT_TRUE(file.TryRead(1, &scratch).ok());
-  ASSERT_TRUE(file.TryRead(2, &scratch).ok());
-  ASSERT_TRUE(file.TryWrite(10, nullptr, nullptr).ok());
-  EXPECT_EQ(file.stats().TotalAccesses(), 3);
-  EXPECT_EQ(file.stats().sim_elapsed_ns, 300);
-
-  // Seek-aware model: a seek access pays seek + transfer, a sequential
-  // one transfer only, so a coalesced run of R consecutive pages costs
-  // one seek charge plus R-1 transfer charges.
-  PageFile modeled(/*num_pages=*/16, /*page_capacity=*/4);
-  DiskModel model;
-  model.seek_ms = 2.0;
-  model.transfer_ms = 1.0;
-  modeled.set_disk_model(model);  // accounting only, no real sleep
-  ASSERT_TRUE(modeled.TryRead(5, &scratch).ok());  // first access: seek
-  ASSERT_TRUE(modeled.TryRead(6, &scratch).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(7, &scratch).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(1, &scratch).ok());  // jump: seek
-  EXPECT_EQ(modeled.stats().seeks, 2);
-  EXPECT_EQ(modeled.stats().sequential_accesses, 2);
-  EXPECT_EQ(modeled.stats().sim_elapsed_ns,
-            2 * model.SeekChargeNs() + 2 * model.SequentialChargeNs());
-  // The per-access charges reconcile with the aggregate LatencyMs model.
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(modeled.stats().sim_elapsed_ns) * 1e-6,
-      model.LatencyMs(modeled.stats()));
 }
 
 TEST(ObsWiringTest, ShardMetricsPublishPerShardSeries) {

@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "shard/sharded_dense_file.h"
 #include "storage/file_backend.h"
+#include "storage/storage_backend.h"
 #include "util/deadlock.h"
 #include "util/temp_dir.h"
 #include "workload/parallel_replayer.h"
@@ -41,6 +43,34 @@ ShardedDenseFile::Options SmallOptions(int num_shards, Key key_space) {
   options.shard.D = 8 + 4 * 6 + 1;  // gap condition at M = 64
   return options;
 }
+
+// A device that takes 20 us per page transfer: a FileBackend behind a
+// sleep in ReadPage and WritePage. Tests use it to widen race windows.
+class SlowBackend : public StorageBackend {
+ public:
+  explicit SlowBackend(std::unique_ptr<StorageBackend> device)
+      : device_(std::move(device)) {}
+
+  int64_t num_pages() const override { return device_->num_pages(); }
+  int64_t page_capacity() const override { return device_->page_capacity(); }
+  Status WritePage(Address address, const Page& page) override {
+    Wait();
+    return device_->WritePage(address, page);
+  }
+  Status ReadPage(Address address, Page* out) override {
+    Wait();
+    return device_->ReadPage(address, out);
+  }
+  Status SyncBarrier() override { return device_->SyncBarrier(); }
+  std::string Name() const override { return device_->Name(); }
+
+ private:
+  static void Wait() {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+
+  std::unique_ptr<StorageBackend> device_;
+};
 
 std::unique_ptr<ShardedDenseFile> MakeFile(
     const ShardedDenseFile::Options& options) {
@@ -269,17 +299,29 @@ TEST(ShardedDenseFileTest, DeleteRangeIsAtomicAgainstConcurrentScan) {
   // exclusive and scans hold them all shared: each scan observes either
   // the full pre-delete contents or the empty post-delete state, never
   // a torn middle.
-  std::unique_ptr<ShardedDenseFile> file = MakeFile(SmallOptions(4, 1000));
+  //
+  // Widen the race window: every shard sits on a SlowBackend, so each
+  // page access sleeps and most runs of the shard-by-shard pre-fix
+  // delete let a scan observe a torn middle.
+  ScopedTempDir dir("dsf-race");
+  ShardedDenseFile::Options options = SmallOptions(4, 1000);
+  options.shard_backend_factory =
+      [&dir](int shard, int64_t num_pages, int64_t page_capacity)
+      -> StatusOr<std::unique_ptr<StorageBackend>> {
+    FileBackend::Options fb;
+    fb.directory = dir.path() + "/shard" + std::to_string(shard);
+    ::mkdir(fb.directory.c_str(), 0755);
+    StatusOr<std::unique_ptr<StorageBackend>> device =
+        FileBackend::CreateFactory(fb)(num_pages, page_capacity);
+    if (!device.ok()) return device.status();
+    return std::unique_ptr<StorageBackend>(
+        std::make_unique<SlowBackend>(std::move(*device)));
+  };
+  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
   std::vector<Record> initial;
   for (Key k = 1; k <= 1000; k += 2) initial.push_back(Record{k, k});
   ASSERT_TRUE(file->BulkLoad(initial).ok());
   const int64_t full = static_cast<int64_t>(initial.size());
-  // Widen the race window: every page access sleeps, so the shard-by-
-  // shard pre-fix interleaving is all but guaranteed to be observed.
-  DiskModel flat;
-  flat.seek_ms = 0;
-  flat.transfer_ms = 0.02;  // 20 us per access
-  file->SetDiskModel(flat, /*sleep=*/true);
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> scans_done{0};
