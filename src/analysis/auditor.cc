@@ -55,10 +55,6 @@ const char* AuditViolationKindToString(AuditViolationKind kind) {
       return "FrameAliasing";
     case AuditViolationKind::kFrameDirectoryMismatch:
       return "FrameDirectoryMismatch";
-    case AuditViolationKind::kPinAccountingMismatch:
-      return "PinAccountingMismatch";
-    case AuditViolationKind::kPinnedFrameAtQuiescence:
-      return "PinnedFrameAtQuiescence";
     case AuditViolationKind::kShardBoundaryViolation:
       return "ShardBoundaryViolation";
     case AuditViolationKind::kStagingOrderViolation:
@@ -155,8 +151,7 @@ struct BlockFacts {
   Key max_key = 0;
 };
 
-void AuditPoolInternal(const BufferPool& pool, const AuditOptions& options,
-                       AuditReport* report) {
+void AuditPoolInternal(const BufferPool& pool, AuditReport* report) {
   Collector check(report);
   const std::vector<BufferPool::FrameInfo> frames = pool.AuditFrames();
   const std::vector<int64_t> dirty_order = pool.DirtyOrderForAudit();
@@ -166,10 +161,8 @@ void AuditPoolInternal(const BufferPool& pool, const AuditOptions& options,
   // must mirror exactly the frames that hold a page.
   std::unordered_set<Address> seen;
   int64_t occupied = 0;
-  int64_t total_pins = 0;
   for (int64_t i = 0; i < n; ++i) {
     const BufferPool::FrameInfo& f = frames[static_cast<size_t>(i)];
-    total_pins += f.pins;
     if (f.address == 0) continue;
     ++occupied;
     {
@@ -240,27 +233,6 @@ void AuditPoolInternal(const BufferPool& pool, const AuditOptions& options,
     v.page = f.address;
     v.detail = "dirty frame " + std::to_string(i) + " missing from list";
     check.Check(!f.dirty || listed.count(i) > 0, std::move(v));
-  }
-
-  // Pin accounting: pins move with PageGuard construction/destruction,
-  // so their sum must equal the number of guards alive; at a quiescent
-  // point (between commands) that number must be zero.
-  {
-    AuditViolation v = Make(AuditViolationKind::kPinAccountingMismatch);
-    v.expected = pool.live_guards();
-    v.found = total_pins;
-    check.Check(total_pins == pool.live_guards(), std::move(v));
-  }
-  if (options.expect_quiescent_pool) {
-    for (int64_t i = 0; i < n; ++i) {
-      const BufferPool::FrameInfo& f = frames[static_cast<size_t>(i)];
-      AuditViolation v = Make(AuditViolationKind::kPinnedFrameAtQuiescence);
-      v.page = f.address;
-      v.found = f.pins;
-      v.detail = std::string("owner=") +
-                 (f.owner != nullptr ? f.owner : "untagged");
-      check.Check(f.pins == 0, std::move(v));
-    }
   }
 }
 
@@ -347,15 +319,13 @@ void AuditControl2State(const Control2& control,
 
 }  // namespace
 
-AuditReport Auditor::AuditPool(const BufferPool& pool,
-                               const AuditOptions& options) {
+AuditReport Auditor::AuditPool(const BufferPool& pool) {
   AuditReport report;
-  AuditPoolInternal(pool, options, &report);
+  AuditPoolInternal(pool, &report);
   return report;
 }
 
-AuditReport Auditor::AuditControl(const ControlBase& control,
-                                  const AuditOptions& options) {
+AuditReport Auditor::AuditControl(const ControlBase& control) {
   AuditReport report;
   Collector check(&report);
   const Calibrator& calibrator = control.calibrator();
@@ -510,7 +480,7 @@ AuditReport Auditor::AuditControl(const ControlBase& control,
 
   // --- The attached buffer pool, when any.
   if (control.pool() != nullptr) {
-    AuditPoolInternal(*control.pool(), options, &report);
+    AuditPoolInternal(*control.pool(), &report);
   }
   return report;
 }

@@ -65,8 +65,6 @@ enum class AuditViolationKind {
   kDirtyListCorrupt,          // L and per-frame dirty bits disagree
   kFrameAliasing,             // two frames cache the same page
   kFrameDirectoryMismatch,    // resident map != frame contents
-  kPinAccountingMismatch,     // sum of pins != live PageGuards
-  kPinnedFrameAtQuiescence,   // pins outstanding between commands
   // --- sharding ---
   kShardBoundaryViolation,  // a shard holds keys outside its range
   // --- ingest staging (src/ingest/memtable.h kind invariants) ---
@@ -117,22 +115,14 @@ struct AuditReport {
   void Merge(AuditReport other, int shard);
 };
 
-struct AuditOptions {
-  // Between commands no PageGuard is live; any outstanding pin is a leak.
-  // Set false to audit mid-operation states where pins are legitimate.
-  bool expect_quiescent_pool = true;
-};
-
 class Auditor {
  public:
   // Audits file structure, calibrator, BALANCE, CONTROL 2 state (when
   // `control` is a Control2) and the attached buffer pool (when any).
-  static AuditReport AuditControl(const ControlBase& control,
-                                  const AuditOptions& options = {});
+  static AuditReport AuditControl(const ControlBase& control);
 
-  // Pool-only audit: dirty-order list, frame directory, pin accounting.
-  static AuditReport AuditPool(const BufferPool& pool,
-                               const AuditOptions& options = {});
+  // Pool-only audit: dirty-order list and frame directory.
+  static AuditReport AuditPool(const BufferPool& pool);
 
   // Staging audit (docs/INGEST.md): memtable order/capacity/count sanity
   // plus the entry-kind claims against the durable file — kInsert keys

@@ -124,10 +124,7 @@ Status ControlBase::ReadBlockInto(Address block, std::vector<Record>* out) {
   Page scratch;
   for (int64_t i = 0; i < used; ++i) {
     if (pool_ != nullptr) {
-      StatusOr<PageGuard> guard = pool_->PinRead(first + i, "ControlBase::ReadBlockInto");
-      DSF_RETURN_IF_ERROR(guard.status());
-      const std::vector<Record>& records = guard->page().records();
-      out->insert(out->end(), records.begin(), records.end());
+      DSF_RETURN_IF_ERROR(pool_->Read(first + i, out));
     } else {
       StatusOr<const Page*> p = file_.TryRead(first + i, &scratch);
       DSF_RETURN_IF_ERROR(p.status());
@@ -202,31 +199,19 @@ Status ControlBase::WriteBlockPages(Address block, const Record* begin,
           continue;
         }
       }
-      // Full-page overwrite: the pool skips the miss read and hands out
-      // a cleared dirty frame. The pool's dirty-order list preserves the
-      // crash-safe order chosen here — frames reach the device in the
-      // order they were dirtied, not in address order. Drain windows use
-      // the content-aware path so the pool can absorb additive rewrites
-      // and relocate dependency-free ones (buffer_pool.h rules 2'/3†)
-      // instead of force-flushing the prefix on every re-dirty.
-      StatusOr<PageGuard> guard =
-          defer_flush_
-              ? pool_->PinForRewrite(first + i, begin + offset,
-                                     begin + offset + take,
-                                     "ControlBase::WriteBlockPages")
-              : pool_->PinForOverwrite(first + i,
-                                       "ControlBase::WriteBlockPages");
-      if (!guard.ok()) {
-        fault = guard.status();
-        break;
-      }
-      guard->mutable_page()->AppendHigh(begin + offset, begin + offset + take);
+      // Full-page image: the pool skips the miss read, and its
+      // dirty-order list preserves the crash-safe order chosen here —
+      // frames reach the device in the order they were dirtied, not in
+      // address order. Knowing the content lets the pool absorb additive
+      // rewrites and relocate dependency-free ones (buffer_pool.h rules
+      // 2'/3†) instead of force-flushing the prefix on every re-dirty.
+      fault = pool_->Write(first + i, begin + offset, begin + offset + take);
     } else {
       // Content-passing write: the page is final when handed over, so a
       // backend receives it before TryWrite returns.
       fault = file_.TryWrite(first + i, begin + offset, begin + offset + take);
-      if (!fault.ok()) break;
     }
+    if (!fault.ok()) break;
   }
   if (!fault.ok()) return fault;
   // Pages that fall out of the used prefix become free. A real system

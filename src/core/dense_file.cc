@@ -51,10 +51,9 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
     return Status::InvalidArgument("cache_frames must be >= 0");
   }
   config.cache_frames = options.cache_frames;
-  if (options.staging_entries < 0 || options.staging_bytes < 0 ||
-      options.drain_batch < 0) {
+  if (options.staging_entries < 0 || options.drain_batch < 0) {
     return Status::InvalidArgument(
-        "staging_entries / staging_bytes / drain_batch must be >= 0");
+        "staging_entries / drain_batch must be >= 0");
   }
 
   std::unique_ptr<ControlBase> control;
@@ -118,10 +117,9 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
   // cycle's traffic each) per step.
   file->drain_access_budget_ =
       BoundCertifier::BudgetFor(block_size, envelope_j);
-  if (options.staging_entries > 0 || options.staging_bytes > 0) {
+  if (options.staging_entries > 0) {
     Memtable::Options staging;
     staging.max_entries = options.staging_entries;
-    staging.max_bytes = options.staging_bytes;
     file->staging_ = std::make_unique<Memtable>(staging);
     file->drain_batch_ =
         options.drain_batch > 0
@@ -291,12 +289,12 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Open(const Options& options) {
 
 Status DenseFile::MaybeAudit(Status s) const {
   if (!options_.audit_every_command) return s;
-  // A command that died on a device fault (or ran out of pool frames
-  // mid-flight) leaves the file legitimately out of invariants until
-  // CheckAndRepair; auditing that state would report the fault's damage
-  // as corruption. Every other outcome — success or a user-level
-  // rejection — must leave a fully consistent file.
-  if (s.IsIoError() || s.IsResourceExhausted()) return s;
+  // A command that died on a device fault leaves the file legitimately
+  // out of invariants until CheckAndRepair; auditing that state would
+  // report the fault's damage as corruption. Every other outcome —
+  // success or a user-level rejection — must leave a fully consistent
+  // file.
+  if (s.IsIoError()) return s;
   const Status audit = Audit().ToStatus();
   if (!audit.ok() && s.ok()) return audit;
   return s;

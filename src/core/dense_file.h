@@ -79,10 +79,6 @@ class DenseFile {
     // view. 0 (default) disables staging entirely. Staged entries are
     // volatile until drained — call FlushStaging() for durability points.
     int64_t staging_entries = 0;
-    // Byte-denominated alternative budget (entries * sizeof(StagedEntry));
-    // the effective capacity is the smaller of the two set budgets.
-    // ShardedDenseFile splits its staging_bytes across shards into this.
-    int64_t staging_bytes = 0;
     // Max staged entries applied per drain step; 0 = auto-size so a step
     // of typical inserts stays inside the CONTROL 2 per-command budget
     // K*(4J+2) (the step also stops early when its logical accesses reach
@@ -177,7 +173,7 @@ class DenseFile {
 
   // Lock-free point-lookup attempt for the epoch read path
   // (docs/CONCURRENCY.md): answers POSITIVE hits only, served from the
-  // buffer pool's stable resident frames, and only while the staging
+  // buffer pool's resident frames, and only while the staging
   // buffer is observably empty (a staged tombstone or update must win
   // over the durable twin, which requires the locked merged view).
   // Callable without any external lock, concurrently with a writer.

@@ -1,7 +1,6 @@
 #include "ingest/memtable.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "util/check.h"
@@ -39,18 +38,9 @@ StagingStats& StagingStats::operator+=(const StagingStats& other) {
   return *this;
 }
 
-Memtable::Memtable(const Options& options) {
-  DSF_CHECK(options.max_entries > 0 || options.max_bytes > 0)
-      << "memtable needs an entry or byte budget";
-  int64_t cap = std::numeric_limits<int64_t>::max();
-  if (options.max_entries > 0) cap = options.max_entries;
-  if (options.max_bytes > 0) {
-    cap = std::min<int64_t>(
-        cap, std::max<int64_t>(
-                 1, options.max_bytes /
-                        static_cast<int64_t>(sizeof(StagedEntry))));
-  }
-  capacity_ = cap;
+Memtable::Memtable(const Options& options)
+    : capacity_(options.max_entries) {
+  DSF_CHECK(capacity_ > 0) << "memtable needs an entry budget";
   entries_.reserve(static_cast<size_t>(
       std::min<int64_t>(capacity_, int64_t{1} << 20)));
 }

@@ -27,9 +27,6 @@
 // everything that has not drained — the file itself stays crash-safe
 // (drains are ordinary commands), but callers who need a durability
 // point must call DenseFile::FlushStaging() first.
-//
-// The buffer is both entry- and byte-budgeted: capacity is the smaller
-// of max_entries and max_bytes / sizeof(StagedEntry) (whichever are set).
 
 #ifndef DSF_INGEST_MEMTABLE_H_
 #define DSF_INGEST_MEMTABLE_H_
@@ -67,8 +64,7 @@ struct StagingStats {
   int64_t drained_entries = 0;  // entries moved into the file
   int64_t entries = 0;          // currently staged (a gauge, not a sum)
   // Staged-entry budget (a gauge). Summed across shards this is the
-  // whole file's staging capacity, which makes budget-split policies
-  // (ShardedDenseFile::Options::staging_bytes) externally checkable.
+  // whole file's staging capacity.
   int64_t capacity = 0;
 
   StagingStats& operator+=(const StagingStats& other);
@@ -77,21 +73,14 @@ struct StagingStats {
 class Memtable {
  public:
   struct Options {
-    // Maximum staged entries; 0 = unlimited by count.
+    // Maximum staged entries; must be >= 1.
     int64_t max_entries = 0;
-    // Maximum staged bytes (entries * sizeof(StagedEntry)); 0 = unlimited
-    // by bytes. At least one of the two budgets must be set.
-    int64_t max_bytes = 0;
   };
 
   explicit Memtable(const Options& options);
 
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }
   bool empty() const { return entries_.empty(); }
-  int64_t bytes() const {
-    return size() * static_cast<int64_t>(sizeof(StagedEntry));
-  }
-  // The resolved entry capacity (min of the two budgets).
   int64_t capacity() const { return capacity_; }
   bool full() const { return size() >= capacity_; }
 

@@ -55,7 +55,7 @@ inline constexpr char kMetricPoolFlushRunLength[] =
 // Read-path branch counters (docs/CONCURRENCY.md): point reads that
 // took the shard lock shared without waiting ...
 inline constexpr char kMetricReadLockShared[] = "dsf_read_lock_shared_total";
-// ... that were answered by an epoch-validated buffer-pool read while a
+// ... that were answered by an epoch read from the buffer pool while a
 // writer held the shard ...
 inline constexpr char kMetricReadLockEpochHits[] =
     "dsf_read_lock_epoch_hits_total";

@@ -88,59 +88,17 @@ StatusOr<std::unique_ptr<ShardedDenseFile>> ShardedDenseFile::Create(
       return Status::InvalidArgument("splitters must strictly ascend");
     }
   }
-  DenseFile::Options shard_options = options.shard;
-  if (shard_options.backend_factory != nullptr) {
+  if (options.shard.backend_factory != nullptr) {
     return Status::InvalidArgument(
         "set shard_backend_factory, not shard.backend_factory: every shard "
         "needs its own backend, an ordinal-blind factory would open one "
         "file pair for all of them");
   }
-  if (options.cache_bytes < 0) {
-    return Status::InvalidArgument("cache_bytes must be >= 0");
-  }
-  if (options.cache_bytes > 0 && shard_options.cache_frames == 0) {
-    // Split the byte budget evenly: each shard is an independent device
-    // with its own pool. A frame holds one physical page of D+1 records.
-    const int64_t frame_bytes =
-        (shard_options.D + 1) * static_cast<int64_t>(sizeof(Record));
-    shard_options.cache_frames =
-        std::max<int64_t>(1, options.cache_bytes / s / frame_bytes);
-  }
-  if (options.staging_bytes < 0) {
-    return Status::InvalidArgument("staging_bytes must be >= 0");
-  }
-  const bool split_staging = options.staging_bytes > 0 &&
-                             shard_options.staging_entries == 0 &&
-                             shard_options.staging_bytes == 0;
-  int64_t staging_base = 0;
-  int64_t staging_extra = 0;
-  if (split_staging) {
-    // The budget buys floor(staging_bytes / entry) staged entries total.
-    // Divide them as evenly as possible; the remainder goes one entry
-    // each to the first shards, so no slice of the budget is silently
-    // dropped (an even split used to lose up to S-1 entries). A budget
-    // whose per-shard share cannot hold even one entry is a
-    // configuration error, not something to round up: rounding would
-    // manufacture capacity the caller never paid for.
-    const int64_t entry_bytes = static_cast<int64_t>(sizeof(StagedEntry));
-    if (options.staging_bytes / s < entry_bytes) {
-      return Status::InvalidArgument(
-          "staging_bytes too small: per-shard budget (staging_bytes / "
-          "num_shards) must hold at least one staged entry");
-    }
-    const int64_t total_entries = options.staging_bytes / entry_bytes;
-    staging_base = total_entries / s;
-    staging_extra = total_entries % s;
-  }
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(static_cast<size_t>(s));
   int64_t resolved_block_size = 0;
   for (int i = 0; i < s; ++i) {
-    DenseFile::Options per_shard = shard_options;
-    if (split_staging) {
-      per_shard.staging_entries =
-          staging_base + (i < static_cast<int>(staging_extra) ? 1 : 0);
-    }
+    DenseFile::Options per_shard = options.shard;
     if (per_shard.metrics != nullptr || per_shard.tracer != nullptr ||
         per_shard.certify_bound) {
       // Every shard publishes the same catalog names; series differ only
@@ -164,15 +122,9 @@ StatusOr<std::unique_ptr<ShardedDenseFile>> ShardedDenseFile::Create(
   Options resolved = options;
   resolved.splitters = splitters;
   resolved.shard.block_size = resolved_block_size;
-  resolved.shard.cache_frames = shard_options.cache_frames;
-  // When the byte budget was split, the first staging_extra shards hold
-  // one entry more than this base (remainder distribution above).
-  resolved.shard.staging_entries =
-      split_staging ? staging_base : shard_options.staging_entries;
   std::unique_ptr<ShardedDenseFile> file(new ShardedDenseFile(
       resolved, std::move(splitters), std::move(shards)));
-  file->staging_ = split_staging || shard_options.staging_entries > 0 ||
-                   shard_options.staging_bytes > 0;
+  file->staging_ = options.shard.staging_entries > 0;
   if (options.shard.metrics != nullptr) {
     MetricsRegistry& reg = *options.shard.metrics;
     const std::string& label = options.shard.metrics_label;
@@ -294,9 +246,9 @@ StatusOr<Value> ShardedDenseFile::Get(Key key) const {
     TraceReadBranch(options_.shard.tracer, 0, index);
     return result;
   }
-  // Branch 1 — a writer holds the shard: epoch-validated read straight
-  // from the buffer pool. Positive hits only; a miss proves nothing
-  // (page not resident, frame mid-write, staged entries pending), so it
+  // Branch 1 — a writer holds the shard: epoch read straight from the
+  // buffer pool. Positive hits only; a miss proves nothing (page not
+  // resident or not yet written, staged entries pending), so it
   // cannot answer "not found".
   Value value = 0;
   if (shard.epoch->TryEpochGet(key, &value)) {

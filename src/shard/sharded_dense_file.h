@@ -12,7 +12,7 @@
 //  - Mutating point operations take the owning shard's lock exclusive.
 //  - Point reads (Get/Contains) run a three-branch protocol: try the
 //    shard lock shared (uncontended case, readers overlap freely); if a
-//    writer holds it, attempt an epoch-validated read straight from the
+//    writer holds it, attempt an epoch read straight from the
 //    shard's BufferPool (DenseFile::TryEpochGet — positive hits only,
 //    never blocks, never touches the device); if that misses, block on
 //    the shared lock. dsf_read_lock_* counters expose the branch taken.
@@ -67,22 +67,6 @@ class ShardedDenseFile {
     // When splitters is empty: boundaries at i * key_space / S for
     // i in [1, S). 0 means the full 64-bit key space.
     Key key_space = 0;
-    // Shared cache byte budget, split evenly into per-shard buffer pools
-    // (each shard models an independent device, so it gets its own pool
-    // and its own dirty-order list; see docs/CACHING.md). Frames per
-    // shard = cache_bytes / S / page bytes, at least 1 when any budget
-    // is given. Ignored when shard.cache_frames is set explicitly.
-    int64_t cache_bytes = 0;
-    // Shared staging byte budget, split into per-shard memtables: the
-    // budget buys floor(staging_bytes / sizeof(StagedEntry)) entries
-    // total, divided as evenly as possible with the remainder going to
-    // the first shards (no byte of the budget is silently dropped). A
-    // budget too small to stage one entry per shard is rejected with
-    // kInvalidArgument rather than rounded up. Ignored
-    // when shard.staging_entries / shard.staging_bytes is set explicitly.
-    // 0 with neither per-shard field set disables staging. See
-    // docs/INGEST.md.
-    int64_t staging_bytes = 0;
     // Per-shard durable backends: called once per shard with the shard
     // ordinal and the shard's physical geometry. Each shard is an
     // independent device and must get its own backend (e.g. its own
@@ -214,9 +198,8 @@ class ShardedDenseFile {
   // without at least a shared hold, which makes the locking protocol in
   // the header comment machine-checked. `epoch` is a lock-free alias of
   // the same DenseFile reserved for the epoch read branch: TryEpochGet
-  // is internally synchronized (buffer-pool mutex + frame version
-  // validation + staging gauge), so that one entry point is sound to
-  // reach while a writer holds `mu`. Both pointers are set at
+  // is internally synchronized (buffer-pool mutex + staging gauge), so
+  // that one entry point is sound to reach while a writer holds `mu`. Both pointers are set at
   // construction, before the shard is shared, and never reassigned.
   struct Shard {
     explicit Shard(std::unique_ptr<DenseFile> f)
@@ -279,7 +262,7 @@ class ShardedDenseFile {
   // rotation is a fairness heuristic, not a correctness invariant.
   std::atomic<int64_t> rotate_{0};
   // Read-path branch counters (null without a metrics registry; see
-  // docs/OBSERVABILITY.md): shared lock taken / epoch-validated pool hit
+  // docs/OBSERVABILITY.md): shared lock taken / epoch pool hit
   // / epoch miss that fell back to blocking on the shared lock.
   Counter* m_read_shared_ = nullptr;
   Counter* m_read_epoch_hits_ = nullptr;

@@ -6,31 +6,8 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace dsf {
-
-const Page& PageGuard::page() const {
-  DSF_CHECK(pool_ != nullptr) << "page() on released PageGuard";
-  return pool_->frames_[static_cast<size_t>(frame_)].page;
-}
-
-Page* PageGuard::mutable_page() {
-  DSF_CHECK(pool_ != nullptr) << "mutable_page() on released PageGuard";
-  return &pool_->frames_[static_cast<size_t>(frame_)].page;
-}
-
-Address PageGuard::address() const {
-  DSF_CHECK(pool_ != nullptr) << "address() on released PageGuard";
-  return pool_->frames_[static_cast<size_t>(frame_)].address;
-}
-
-void PageGuard::Release() {
-  if (pool_ != nullptr) {
-    pool_->Unpin(frame_, write_);
-    pool_ = nullptr;
-  }
-}
 
 BufferPool::Stats& BufferPool::Stats::operator+=(const Stats& other) {
   hits += other.hits;
@@ -74,17 +51,6 @@ BufferPool::BufferPool(PageFile* file, const Options& options)
   }
 }
 
-BufferPool::~BufferPool() {
-#ifndef NDEBUG
-  const std::string leaks = PinLeakReport();
-  if (!leaks.empty()) {
-    DSF_LOG(kError) << "BufferPool destroyed with pinned frames (PageGuards "
-                       "outliving the pool):\n"
-                    << leaks;
-  }
-#endif
-}
-
 void BufferPool::Touch(Frame& f) { f.ref = true; }
 
 StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
@@ -100,26 +66,21 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
     Touch(frames_[static_cast<size_t>(it->second)]);
     return it->second;
   }
-  ++stats_.misses;
   int64_t index;
   if (!free_frames_.empty()) {
     index = free_frames_.back();
     free_frames_.pop_back();
   } else {
     StatusOr<int64_t> victim = EvictFrame();
-    if (!victim.ok()) {
-      // Undo the miss charge: the request did not take a frame after all,
-      // so a retry (after guards are released) counts afresh.
-      --stats_.misses;
-      return victim.status();
-    }
+    if (!victim.ok()) return victim.status();
     index = *victim;
   }
-  // The metric is bumped only once the miss actually took a frame (the
-  // registry counter is monotonic and cannot be undone like stats_).
+  // A miss counts once it has taken a frame, so a retry after a failed
+  // eviction counts afresh.
+  ++stats_.misses;
   if (m_misses_ != nullptr) m_misses_->Increment();
   Frame& f = frames_[static_cast<size_t>(index)];
-  DSF_DCHECK(f.address == 0 && !f.dirty && f.pins == 0);
+  DSF_DCHECK(f.address == 0 && !f.dirty);
   if (load) {
     // With a backend the device read lands in the frame itself; the
     // simulated device hands back its own page, which is copied in.
@@ -144,28 +105,22 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
 StatusOr<int64_t> BufferPool::EvictFrame() {
   const int64_t n = static_cast<int64_t>(frames_.size());
   int64_t victim = -1;
-  // CLOCK (second chance): up to two sweeps — the first clears ref bits,
-  // the second must find an unpinned frame unless all are pinned.
+  // CLOCK (second chance): the first sweep clears ref bits, so the
+  // second finds a victim (every frame is occupied when this runs).
   for (int64_t step = 0; step < 2 * n && victim < 0; ++step) {
     Frame& f = frames_[static_cast<size_t>(clock_hand_)];
     clock_hand_ = (clock_hand_ + 1) % n;
-    if (f.address == 0 || f.pins > 0) continue;
+    if (f.address == 0) continue;
     if (f.ref) {
       f.ref = false;
       continue;
     }
     victim = (&f - frames_.data());
   }
-  if (victim < 0) {
-    return Status::ResourceExhausted(
-        "all " + std::to_string(n) + " buffer-pool frames are pinned");
-  }
+  DSF_CHECK(victim >= 0) << "eviction found no occupied frame";
   if (frames_[static_cast<size_t>(victim)].dirty) {
     // Evicting a dirty frame must not reorder writes: flush the dirty
-    // prefix through the victim so its content lands in order. Frames in
-    // that prefix may be read-pinned by concurrent shared readers (legal
-    // under docs/CONCURRENCY.md: a drain window keeps frames dirty across
-    // commands); FlushFrame writes those back in place.
+    // prefix through the victim so its content lands in order.
     DSF_RETURN_IF_ERROR(FlushPrefixThrough(victim));
   }
   Frame& f = frames_[static_cast<size_t>(victim)];
@@ -177,53 +132,17 @@ StatusOr<int64_t> BufferPool::EvictFrame() {
   return victim;
 }
 
-Status BufferPool::MarkDirty(int64_t frame) {
+void BufferPool::EnterTail(int64_t frame) {
   Frame& f = frames_[static_cast<size_t>(frame)];
-  // This path never sees the replacement content, so the dirty lifetime
-  // must conservatively block rule-3† relocations past this frame.
-  f.removed_unknown = true;
-  if (f.dirty) {
-    if (f.dirty_it == std::prev(dirty_order_.end())) {
-      // Tail of L: the newer version simply replaces the older one.
-      ++stats_.write_combines;
-      return Status::OK();
-    }
-    // Re-dirtying out of order: flush the old version (and everything
-    // dirtied before it) first, then re-enter at the tail.
-    ++stats_.ordered_flushes;
-    DSF_RETURN_IF_ERROR(FlushPrefixThrough(frame));
-    f.removed_unknown = true;  // FlushFrame reset it; this write hides content
-  }
   f.dirty = true;
   f.dirty_seq = ++next_dirty_seq_;
   dirty_order_.push_back(frame);
   f.dirty_it = std::prev(dirty_order_.end());
-  return Status::OK();
-}
-
-void BufferPool::RecordPin(int64_t frame, const char* owner, bool write) {
-  Frame& f = frames_[static_cast<size_t>(frame)];
-  ++f.pins;
-  f.owner = owner != nullptr ? owner : "untagged";
-  ++live_guards_;
-  // Destabilize the epoch version: the guard holder may now mutate the
-  // page contents outside mu_, so epoch readers must skip this frame
-  // until the guard releases (see the header note).
-  if (write) ++f.version;
 }
 
 Status BufferPool::FlushFrame(int64_t frame) {
   Frame& f = frames_[static_cast<size_t>(frame)];
   DSF_DCHECK(f.dirty) << "FlushFrame on clean frame";
-  if ((f.version & 1) != 0) {
-    // Never write back a frame under a write guard (the holder may be
-    // mid-mutation). Reached only on API misuse (two overlapping write
-    // guards forcing a prefix flush through each other); fail soft
-    // rather than abort. Read guards do not block write-back: a shared
-    // reader copies the page out and never changes it.
-    return Status::FailedPrecondition("flush of write-pinned frame " +
-                                      std::to_string(f.address));
-  }
   if (f.free_write) {
     // Unaccounted layout bookkeeping, matching the unpooled path where
     // freed tail pages are cleared via RawWrite.
@@ -243,7 +162,8 @@ Status BufferPool::FlushFrame(int64_t frame) {
   return Status::OK();
 }
 
-Status BufferPool::FlushFramesInSafeOrder(std::vector<int64_t> to_flush) {
+std::vector<int64_t> BufferPool::SafeOrder(
+    const std::vector<int64_t>& frames) const {
   // Partition into pure-addition frames (empty removal ledger: their
   // pending image is a superset of every image the device may hold for
   // that page, so landing them at ANY point loses nothing) and removal
@@ -252,23 +172,22 @@ Status BufferPool::FlushFramesInSafeOrder(std::vector<int64_t> to_flush) {
   // which point every frame that duplicated their removed records has
   // already landed. Every intermediate crash point keeps the no-lost-
   // record guarantee that plain L-order flushing provides.
-  std::vector<int64_t> adds;
+  std::vector<std::pair<Address, int64_t>> adds;
   std::vector<int64_t> removals;
-  for (const int64_t frame : to_flush) {
+  for (const int64_t frame : frames) {
     const Frame& f = frames_[static_cast<size_t>(frame)];
     if (OrderFree(f)) {
-      adds.push_back(frame);
+      adds.emplace_back(f.address, frame);
     } else {
       removals.push_back(frame);
     }
   }
-  std::sort(adds.begin(), adds.end(), [this](int64_t a, int64_t b) {
-    return frames_[static_cast<size_t>(a)].address <
-           frames_[static_cast<size_t>(b)].address;
-  });
-  for (const int64_t frame : adds) DSF_RETURN_IF_ERROR(FlushFrame(frame));
-  for (const int64_t frame : removals) DSF_RETURN_IF_ERROR(FlushFrame(frame));
-  return Status::OK();
+  std::sort(adds.begin(), adds.end());
+  std::vector<int64_t> order;
+  order.reserve(frames.size());
+  for (const auto& add : adds) order.push_back(add.second);
+  order.insert(order.end(), removals.begin(), removals.end());
+  return order;
 }
 
 Status BufferPool::FlushPrefixThrough(int64_t frame) {
@@ -277,15 +196,14 @@ Status BufferPool::FlushPrefixThrough(int64_t frame) {
     prefix.push_back(dirty);
     if (dirty == frame) break;
   }
-  return FlushFramesInSafeOrder(std::move(prefix));
+  for (const int64_t f : SafeOrder(prefix)) DSF_RETURN_IF_ERROR(FlushFrame(f));
+  return Status::OK();
 }
 
 bool BufferPool::TryEpochGet(Key key, Record* out) {
   MutexLock lock(mu_);
   for (const Frame& f : frames_) {
-    if (f.address == 0 || f.free_write) continue;
-    // Odd version: a write guard may be mutating the bytes outside mu_.
-    if ((f.version & 1) != 0) continue;
+    if (f.address == 0) continue;
     const std::vector<Record>& records = f.page.records();
     if (records.empty() || key < records.front().key ||
         records.back().key < key) {
@@ -295,10 +213,10 @@ bool BufferPool::TryEpochGet(Key key, Record* out) {
         std::lower_bound(records.begin(), records.end(), key,
                          [](const Record& r, Key k) { return r.key < k; });
     if (it == records.end() || it->key != key) continue;
-    // Positive hit from a stable resident frame — the current logical
-    // image of its page. Negative answers are never derived here: a
-    // frame covering `key` without holding it may be a stale snapshot
-    // of a reorganization in flight (see docs/CONCURRENCY.md).
+    // Positive hit from a resident frame — the current logical image of
+    // its page. Negative answers are never derived here: a frame
+    // covering `key` without holding it may be a stale snapshot of a
+    // reorganization in flight (see docs/CONCURRENCY.md).
     *out = *it;
     file_->CountLogical(/*is_write=*/false);
     return true;
@@ -306,39 +224,46 @@ bool BufferPool::TryEpochGet(Key key, Record* out) {
   return false;
 }
 
-StatusOr<PageGuard> BufferPool::PinRead(Address address, const char* owner) {
+Status BufferPool::Read(Address address, std::vector<Record>* out) {
   file_->CountLogical(/*is_write=*/false);
   MutexLock lock(mu_);
   StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/true);
-  if (!frame.ok()) return frame.status();
-  RecordPin(*frame, owner, /*write=*/false);
-  return PageGuard(this, *frame, /*write=*/false);
+  DSF_RETURN_IF_ERROR(frame.status());
+  const std::vector<Record>& records =
+      frames_[static_cast<size_t>(*frame)].page.records();
+  out->insert(out->end(), records.begin(), records.end());
+  return Status::OK();
 }
 
-StatusOr<PageGuard> BufferPool::PinWrite(Address address, const char* owner) {
+Status BufferPool::Write(Address address, const Record* begin,
+                         const Record* end) {
   file_->CountLogical(/*is_write=*/true);
   MutexLock lock(mu_);
-  StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/true);
-  if (!frame.ok()) return frame.status();
-  DSF_RETURN_IF_ERROR(MarkDirty(*frame));
-  RecordPin(*frame, owner, /*write=*/true);
-  return PageGuard(this, *frame, /*write=*/true);
+  return Place(address, begin, end, /*free_write=*/false);
 }
 
-StatusOr<PageGuard> BufferPool::PinForOverwrite(Address address,
-                                                const char* owner) {
-  file_->CountLogical(/*is_write=*/true);
+Status BufferPool::MarkFree(Address address) {
+  // Unaccounted (parity with the unpooled RawWrite clear), but ordered:
+  // a clear is a rewrite with empty content, so it rides L under the
+  // same rules and cannot overtake the in-cache writes that moved this
+  // page's records elsewhere.
   MutexLock lock(mu_);
+  return Place(address, nullptr, nullptr, /*free_write=*/true);
+}
+
+Status BufferPool::Place(Address address, const Record* begin,
+                         const Record* end, bool free_write) {
+  const bool was_resident = resident_.find(address) != resident_.end();
   StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/false);
-  if (!frame.ok()) return frame.status();
+  DSF_RETURN_IF_ERROR(frame.status());
+  // Order matters: MarkDirty may flush the frame's *old* image (rule 3);
+  // only then may the content be replaced.
+  DSF_RETURN_IF_ERROR(MarkDirty(*frame, was_resident, begin, end));
   Frame& f = frames_[static_cast<size_t>(*frame)];
-  // Order matters: MarkDirty may flush the frame's *old* version (rule
-  // 3) — only then may the content be discarded for the overwrite.
-  DSF_RETURN_IF_ERROR(MarkDirty(*frame));
   f.page.Clear();
-  f.free_write = false;
-  RecordPin(*frame, owner, /*write=*/true);
-  return PageGuard(this, *frame, /*write=*/true);
+  f.page.AppendHigh(begin, end);
+  f.free_write = free_write;
+  return Status::OK();
 }
 
 namespace {
@@ -379,7 +304,7 @@ void BufferPool::AccumulateRemoved(Frame* f, const Record* begin,
 bool BufferPool::RelocationSafe(const Frame& f) const {
   // Frames dirtied after f, in L order. Any of them whose flush removes
   // a key that f's pending image still carries is (or may be, for the
-  // content-blind removed_unknown case) relying on f flushing first —
+  // removed_unknown case) relying on f flushing first —
   // f must then take the rule-3 prefix flush instead of relocating.
   const std::vector<Record>& pending = f.page.records();
   for (auto it = std::next(f.dirty_it); it != dirty_order_.end(); ++it) {
@@ -412,117 +337,67 @@ void BufferPool::NoteVolatile(Key key) {
   volatile_keys_.insert(key);
 }
 
-Status BufferPool::MarkDirtyWithContent(int64_t frame, bool was_resident,
-                                        const Record* begin,
-                                        const Record* end) {
+Status BufferPool::MarkDirty(int64_t frame, bool was_resident,
+                             const Record* begin, const Record* end) {
   Frame& f = frames_[static_cast<size_t>(frame)];
   if (!f.dirty) {
-    DSF_RETURN_IF_ERROR(MarkDirty(frame));
+    EnterTail(frame);
     if (was_resident) {
       // Clean resident frame: pending == device, so this rewrite's
-      // removals are exactly old content minus new — record them
-      // instead of MarkDirty's content-blind removed_unknown.
-      f.removed_unknown = false;
+      // removals are exactly old content minus new.
       AccumulateRemoved(&f, begin, end);
+    } else {
+      // The device image was never read: what this write removes from
+      // it is unknown.
+      f.removed_unknown = true;
     }
-  } else if (f.dirty_it == std::prev(dirty_order_.end())) {
+    return Status::OK();
+  }
+  if (f.dirty_it == std::prev(dirty_order_.end())) {
     // Rule 2: tail combine, with the removal ledger kept accurate.
     ++stats_.write_combines;
     AccumulateRemoved(&f, begin, end);
-  } else if (IsSortedSuperset(f.page, begin, end)) {
+    return Status::OK();
+  }
+  if (IsSortedSuperset(f.page, begin, end)) {
     // Rule 2': pure addition absorbs at the frame's original slot.
     ++stats_.additive_absorbs;
-  } else if (RelocationSafe(f)) {
+    return Status::OK();
+  }
+  if (RelocationSafe(f)) {
     // Rule 3†: nothing after f depends on its pending image, so the
     // merged rewrite moves to the tail without touching the device.
     AccumulateRemoved(&f, begin, end);
     dirty_order_.erase(f.dirty_it);
-    f.dirty_seq = ++next_dirty_seq_;
-    dirty_order_.push_back(frame);
-    f.dirty_it = std::prev(dirty_order_.end());
+    EnterTail(frame);
     ++stats_.relocations;
-  } else if (OrderFree(f)) {
-    // Rule 3 (minimal form): the old image adds or only removes
-    // volatile keys versus the device, so it may land alone and out of
-    // order — nothing durable can be lost at any crash point. No
-    // prefix flush.
-    ++stats_.ordered_flushes;
-    DSF_RETURN_IF_ERROR(FlushFrame(frame));
-    DSF_RETURN_IF_ERROR(MarkDirty(frame));
-    f.removed_unknown = false;
-    AccumulateRemoved(&f, begin, end);
-  } else {
-    // Rule 3: flush the old image (and everything before it) in order,
-    // then re-enter at the tail. The device now holds the old pending
-    // image, so the fresh lifetime's removals are old minus new.
-    ++stats_.ordered_flushes;
-    DSF_RETURN_IF_ERROR(FlushPrefixThrough(frame));
-    DSF_RETURN_IF_ERROR(MarkDirty(frame));
-    f.removed_unknown = false;
-    AccumulateRemoved(&f, begin, end);
+    return Status::OK();
   }
-  return Status::OK();
-}
-
-StatusOr<PageGuard> BufferPool::PinForRewrite(Address address,
-                                              const Record* begin,
-                                              const Record* end,
-                                              const char* owner) {
-  file_->CountLogical(/*is_write=*/true);
-  MutexLock lock(mu_);
-  const bool was_resident = resident_.find(address) != resident_.end();
-  StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/false);
-  if (!frame.ok()) return frame.status();
-  DSF_RETURN_IF_ERROR(MarkDirtyWithContent(*frame, was_resident, begin, end));
-  Frame& f = frames_[static_cast<size_t>(*frame)];
-  f.page.Clear();
-  f.free_write = false;
-  RecordPin(*frame, owner, /*write=*/true);
-  return PageGuard(this, *frame, /*write=*/true);
-}
-
-Status BufferPool::MarkFree(Address address) {
-  // Unaccounted (parity with the unpooled RawWrite clear), but ordered:
-  // the clear rides L so it cannot overtake the in-cache writes that
-  // moved this page's records elsewhere.
-  MutexLock lock(mu_);
-  const bool was_resident = resident_.find(address) != resident_.end();
-  StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/false);
-  if (!frame.ok()) return frame.status();
-  // A clear is a rewrite with empty content: the same placement rules
-  // apply, and the removal ledger stays exact (everything the pending
-  // image held is removed) instead of poisoning later relocations with
-  // removed_unknown.
-  DSF_RETURN_IF_ERROR(
-      MarkDirtyWithContent(*frame, was_resident, nullptr, nullptr));
-  Frame& f = frames_[static_cast<size_t>(*frame)];
-  f.page.Clear();
-  f.free_write = true;
+  // Rule 3: the old image lands first, then the frame re-enters at the
+  // tail. When the old image adds or only removes volatile keys versus
+  // the device it may land alone and out of order — nothing durable can
+  // be lost at any crash point; otherwise everything before it lands
+  // too, in safe order.
+  ++stats_.ordered_flushes;
+  if (OrderFree(f)) {
+    DSF_RETURN_IF_ERROR(FlushFrame(frame));
+  } else {
+    DSF_RETURN_IF_ERROR(FlushPrefixThrough(frame));
+  }
+  // The device now holds the old pending image, so the fresh lifetime's
+  // removals are old minus new.
+  EnterTail(frame);
+  AccumulateRemoved(&f, begin, end);
   return Status::OK();
 }
 
 Status BufferPool::FlushAll() {
   MutexLock lock(mu_);
-  // Safe-order schedule (see FlushFramesInSafeOrder): address-sorted
-  // additions, then removals in L order.
-  std::vector<int64_t> adds;
-  std::vector<int64_t> removals;
-  for (const int64_t frame : dirty_order_) {
-    const Frame& f = frames_[static_cast<size_t>(frame)];
-    if (OrderFree(f)) {
-      adds.push_back(frame);
-    } else {
-      removals.push_back(frame);
-    }
-  }
-  std::sort(adds.begin(), adds.end(), [this](int64_t a, int64_t b) {
-    return frames_[static_cast<size_t>(a)].address <
-           frames_[static_cast<size_t>(b)].address;
-  });
-  adds.insert(adds.end(), removals.begin(), removals.end());
+  const std::vector<int64_t> order = SafeOrder(
+      std::vector<int64_t>(dirty_order_.begin(), dirty_order_.end()));
   Address previous = -1;
   int64_t run_length = 0;
-  for (const int64_t frame : adds) {
+  for (const int64_t frame : order) {
     const Address address = frames_[static_cast<size_t>(frame)].address;
     if (previous < 0 ||
         (address != previous && address != previous + 1 &&
@@ -557,7 +432,6 @@ void BufferPool::DropAll() {
   free_frames_.clear();
   for (int64_t i = static_cast<int64_t>(frames_.size()) - 1; i >= 0; --i) {
     Frame& f = frames_[static_cast<size_t>(i)];
-    DSF_CHECK(f.pins == 0) << "DropAll with pinned frame " << f.address;
     f.address = 0;
     f.dirty = false;
     f.free_write = false;
@@ -583,11 +457,9 @@ std::vector<BufferPool::FrameInfo> BufferPool::AuditFrames() const {
   for (const Frame& f : frames_) {
     FrameInfo info;
     info.address = f.address;
-    info.pins = f.pins;
     info.dirty = f.dirty;
     info.free_write = f.free_write;
     info.dirty_seq = f.dirty_seq;
-    info.owner = f.owner;
     out.push_back(info);
   }
   return out;
@@ -596,23 +468,6 @@ std::vector<BufferPool::FrameInfo> BufferPool::AuditFrames() const {
 std::vector<int64_t> BufferPool::DirtyOrderForAudit() const {
   MutexLock lock(mu_);
   return std::vector<int64_t>(dirty_order_.begin(), dirty_order_.end());
-}
-
-int64_t BufferPool::live_guards() const {
-  MutexLock lock(mu_);
-  return live_guards_;
-}
-
-std::string BufferPool::PinLeakReport() const {
-  MutexLock lock(mu_);
-  std::ostringstream os;
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    const Frame& f = frames_[i];
-    if (f.pins == 0) continue;
-    os << "  frame " << i << " page " << f.address << " pins=" << f.pins
-       << " owner=" << (f.owner != nullptr ? f.owner : "untagged") << "\n";
-  }
-  return os.str();
 }
 
 void BufferPool::ReorderDirtyListForTesting() {
@@ -633,18 +488,6 @@ void BufferPool::SetMetrics(Counter* hits, Counter* misses,
   m_misses_ = misses;
   m_writebacks_ = writebacks;
   m_flush_run_length_ = flush_run_length;
-}
-
-void BufferPool::Unpin(int64_t frame, bool write) {
-  MutexLock lock(mu_);
-  Frame& f = frames_[static_cast<size_t>(frame)];
-  DSF_DCHECK(f.pins > 0) << "unbalanced Unpin";
-  --f.pins;
-  --live_guards_;
-  // Write guard released: the contents are stable again (even version),
-  // and the bump invalidates nothing retroactively — epoch readers never
-  // copied from this frame while the version was odd.
-  if (write) ++f.version;
 }
 
 }  // namespace dsf

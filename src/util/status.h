@@ -29,8 +29,8 @@ enum class StatusCode : uint8_t {
   kCorruption = 7,          // an internal invariant was found broken
   kInternal = 8,            // unexpected algorithmic state
   kIoError = 9,             // a page access failed (injected or device fault)
-  kResourceExhausted = 10,  // a bounded resource (e.g. buffer-pool frames)
-                            // is fully in use and none can be reclaimed
+  kResourceExhausted = 10,  // a bounded resource (e.g. the staging
+                            // buffer) is full and none can be reclaimed
 };
 
 // Returns the canonical spelling of `code` ("OK", "NotFound", ...).

@@ -5,10 +5,10 @@
 // command, and the report proves it looked (checks_run, pages_walked).
 // Negative: each seeded corruption — a bumped rank counter, records
 // swapped across a page boundary, a dangling DEST pointer, a reordered
-// dirty list, a leaked pin — is caught with the exact violation kind and
-// location, not just "something is wrong". That precision is what makes
-// the audit_every_command hook a usable debugging tool: the report names
-// the broken invariant and where it broke.
+// dirty list — is caught with the exact violation kind and location,
+// not just "something is wrong". That precision is what makes the
+// audit_every_command hook a usable debugging tool: the report names the
+// broken invariant and where it broke.
 
 #include <gtest/gtest.h>
 
@@ -279,11 +279,8 @@ TEST(Auditor, DetectsReorderedDirtyList) {
   BufferPool pool(&file, {.num_frames = 4});
   // Dirty two frames in a known order...
   for (Address a : {Address{1}, Address{2}}) {
-    StatusOr<PageGuard> guard = pool.PinWrite(a, "auditor_test");
-    ASSERT_TRUE(guard.ok()) << guard.status();
-    ASSERT_TRUE(guard->mutable_page()
-                    ->Insert(Record{static_cast<Key>(a * 10), static_cast<Value>(a)})
-                    .ok());
+    const Record r{static_cast<Key>(a * 10), static_cast<Value>(a)};
+    ASSERT_TRUE(pool.Write(a, &r, &r + 1).ok());
   }
   ASSERT_TRUE(Auditor::AuditPool(pool).ok());
   // ...then swap them, simulating a write-back reordering bug. The list
@@ -293,30 +290,6 @@ TEST(Auditor, DetectsReorderedDirtyList) {
   ASSERT_TRUE(report.Has(AuditViolationKind::kDirtyOrderViolation))
       << report.ToString();
   EXPECT_FALSE(report.Has(AuditViolationKind::kDirtyListCorrupt));
-}
-
-TEST(Auditor, DetectsPinnedFrameAtQuiescence) {
-  PageFile file(/*num_pages=*/8, /*page_capacity=*/4);
-  BufferPool pool(&file, {.num_frames = 4});
-  StatusOr<PageGuard> held = pool.PinRead(3, "auditor_test_leak");
-  ASSERT_TRUE(held.ok()) << held.status();
-
-  // Mid-operation (pins legitimate): accounting must balance, no leak.
-  AuditOptions mid;
-  mid.expect_quiescent_pool = false;
-  EXPECT_TRUE(Auditor::AuditPool(pool, mid).ok());
-
-  // Between commands the same pin is a leak, attributed to its owner.
-  const AuditReport report = Auditor::AuditPool(pool);
-  ASSERT_TRUE(report.Has(AuditViolationKind::kPinnedFrameAtQuiescence))
-      << report.ToString();
-  const AuditViolation* v =
-      report.Find(AuditViolationKind::kPinnedFrameAtQuiescence);
-  EXPECT_EQ(v->page, 3);
-  EXPECT_NE(v->detail.find("auditor_test_leak"), std::string::npos);
-
-  held->Release();
-  EXPECT_TRUE(Auditor::AuditPool(pool).ok());
 }
 
 // --- The audit_every_command hook surfaces corruption as a Status ------

@@ -1,13 +1,14 @@
 // Buffer-pool unit and integration tests.
 //
 // Pool level: hit/miss accounting against the logical/physical IoStats
-// split, pinning (all-pinned returns ResourceExhausted, never aborts),
-// dirty-order write-back rules (tail combining, rule-3 prefix flushes),
-// flush-run coalescing, fault-injected write-back, and RAM-loss DropAll.
+// split, dirty-order write-back rules (tail combining, additive
+// absorption, safe relocation, rule-3 prefix flushes), in-order eviction,
+// flush-run coalescing, fault-injected write-back, RAM-loss DropAll and
+// a concurrent Read / Write / TryEpochGet storm.
 //
 // File level: pooled-vs-unpooled differential replay, command-granularity
 // durability (EndCommand flush), crash-at-flush recovery back to the
-// reference model, and the sharded byte-budget split.
+// reference model, and crash recovery across per-shard pools.
 
 #include <atomic>
 #include <memory>
@@ -52,17 +53,28 @@ class BufferPoolTest : public ::testing::Test {
   PageFile file_;
 };
 
+// Places the full page image `records` through the pool.
+Status Write(BufferPool& pool, Address address,
+             const std::vector<Record>& records) {
+  return pool.Write(address, records.data(), records.data() + records.size());
+}
+
 TEST_F(BufferPoolTest, HitsServeFromResidentFrames) {
   SeedPage(1, 10);
   SeedPage(2, 20);
   auto pool = MakePool(4);
 
   for (int round = 0; round < 3; ++round) {
-    StatusOr<PageGuard> g = pool->PinRead(1);
-    ASSERT_TRUE(g.ok());
-    EXPECT_EQ(g->page().MinKey(), 10);
+    std::vector<Record> out;
+    ASSERT_TRUE(pool->Read(1, &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].key, 10u);
   }
-  ASSERT_TRUE(pool->PinRead(2).ok());
+  // Read appends: the caller's vector keeps what it held.
+  std::vector<Record> out = {Record{1, 1}};
+  ASSERT_TRUE(pool->Read(2, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].key, 20u);
 
   // 4 logical reads, but only 2 reached the device (one fill per page).
   EXPECT_EQ(pool->stats().hits, 2);
@@ -75,12 +87,8 @@ TEST_F(BufferPoolTest, HitsServeFromResidentFrames) {
 
 TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
   auto pool = MakePool(4);
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(1);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{7, 70}).ok());
-  }
-  // The mutation lives only in the frame so far.
+  ASSERT_TRUE(Write(*pool, 1, {{7, 70}}).ok());
+  // The write lives only in the frame so far.
   EXPECT_TRUE(PeekPage(file_, 1).empty());
   EXPECT_EQ(pool->dirty_pages(), 1);
   EXPECT_EQ(file_.stats().logical_writes, 1);
@@ -95,10 +103,10 @@ TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
 
 TEST_F(BufferPoolTest, TailWriteCombiningAbsorbsRepeatedWrites) {
   auto pool = MakePool(4);
+  std::vector<Record> image;
   for (Key k = 1; k <= 5; ++k) {
-    StatusOr<PageGuard> g = pool->PinWrite(3);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{k, k}).ok());
+    image.push_back(Record{k, k});
+    ASSERT_TRUE(Write(*pool, 3, image).ok());
   }
   // Five logical writes collapsed into one dirty frame at the tail of L.
   EXPECT_EQ(pool->stats().write_combines, 4);
@@ -111,76 +119,58 @@ TEST_F(BufferPoolTest, TailWriteCombiningAbsorbsRepeatedWrites) {
 
 TEST_F(BufferPoolTest, NonTailRedirtyFlushesPrefixInOrder) {
   auto pool = MakePool(4);
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(1);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{1, 1}).ok());
-  }
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(2);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{2, 2}).ok());
-  }
-  // Re-dirtying page 1 (now the FRONT of L, not the tail) must not let the
-  // second version commute before the write of page 2: rule 3 flushes the
-  // old version of page 1 to the device first.
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(1);
-    ASSERT_TRUE(g.ok());
-    EXPECT_EQ(pool->stats().ordered_flushes, 1);
-    EXPECT_EQ(PeekPage(file_, 1).size(), 1);  // old version already on device
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{3, 3}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 1, {{1, 1}}).ok());
+  ASSERT_TRUE(Write(*pool, 2, {{2, 2}}).ok());
+  // Re-dirtying page 1 (now the FRONT of L, not the tail) with an image
+  // that rebinds key 1 removes the old record, and page 2's first write
+  // replaced a device image the pool never read, so neither rule 2' nor
+  // rule 3† applies: rule 3 flushes the old version of page 1 to the
+  // device before the new one may commute past the write of page 2.
+  ASSERT_TRUE(Write(*pool, 1, {{1, 10}, {3, 3}}).ok());
+  EXPECT_EQ(pool->stats().ordered_flushes, 1);
+  ASSERT_EQ(PeekPage(file_, 1).size(), 1);  // old version already on device
+  EXPECT_EQ(PeekPage(file_, 1).records()[0].value, 1u);
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(PeekPage(file_, 1).size(), 2);
   EXPECT_EQ(PeekPage(file_, 2).size(), 1);
   EXPECT_EQ(pool->stats().writebacks, 3);
 }
 
-TEST_F(BufferPoolTest, AllPinnedReturnsResourceExhausted) {
-  SeedPage(1, 1);
-  SeedPage(2, 2);
-  SeedPage(3, 3);
-  auto pool = MakePool(2);
-
-  StatusOr<PageGuard> g1 = pool->PinRead(1);
-  StatusOr<PageGuard> g2 = pool->PinRead(2);
-  ASSERT_TRUE(g1.ok());
-  ASSERT_TRUE(g2.ok());
-
-  StatusOr<PageGuard> g3 = pool->PinRead(3);
-  ASSERT_FALSE(g3.ok());
-  EXPECT_TRUE(g3.status().IsResourceExhausted()) << g3.status().ToString();
-  // The pool stays intact: both residents still pinned and readable.
-  EXPECT_EQ(pool->resident_pages(), 2);
-  EXPECT_EQ(g1->page().MinKey(), 1);
-
-  // Releasing any pin makes the same request succeed.
-  g1->Release();
-  StatusOr<PageGuard> retry = pool->PinRead(3);
-  ASSERT_TRUE(retry.ok());
-  EXPECT_EQ(retry->page().MinKey(), 3);
-}
-
-// A shared reader may hold a read pin on a dirty frame (a drain window
-// keeps frames dirty across commands). Another reader's miss must still
-// evict: the dirty prefix, read-pinned frame included, lands in order
-// instead of failing the read.
-TEST_F(BufferPoolTest, EvictionFlushesReadPinnedDirtyPrefix) {
-  auto pool = MakePool(2);
-  for (const Address a : {1, 2}) {
-    StatusOr<PageGuard> g = pool->PinWrite(a);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{static_cast<Key>(a), 1}).ok());
+// Evicting a dirty frame flushes the dirty-order prefix through it, in
+// order: page 1 was dirtied before the victim, page 2, so it lands
+// first — and a fault on page 1 keeps page 2 off the device.
+TEST_F(BufferPoolTest, EvictionFlushesDirtyPrefixInOrder) {
+  for (const bool fault : {false, true}) {
+    SCOPED_TRACE(fault ? "page 1 write faults" : "no fault");
+    PageFile file(/*num_pages=*/64, /*page_capacity=*/8);
+    BufferPool pool(&file, {.num_frames = 3});
+    std::vector<Record> out;
+    ASSERT_TRUE(pool.Read(3, &out).ok());  // clean: the first victim
+    ASSERT_TRUE(Write(pool, 1, {{1, 1}}).ok());
+    ASSERT_TRUE(Write(pool, 2, {{2, 2}}).ok());
+    // Loading page 4 clears every reference bit and evicts page 3;
+    // page 1 is then referenced again, so the next miss passes over it
+    // and evicts page 2, the tail of L = [1, 2].
+    ASSERT_TRUE(pool.Read(4, &out).ok());
+    ASSERT_TRUE(pool.Read(1, &out).ok());
+    if (fault) {
+      auto policy = std::make_shared<FaultPolicy>();
+      policy->FailAddressRange(1, 1, /*writes_only=*/true);
+      file.set_fault_policy(policy);
+      EXPECT_TRUE(pool.Read(5, &out).IsIoError());
+      EXPECT_TRUE(PeekPage(file, 1).empty());
+      EXPECT_TRUE(PeekPage(file, 2).empty());  // never ahead of page 1
+      EXPECT_EQ(pool.dirty_pages(), 2);
+      continue;
+    }
+    ASSERT_TRUE(pool.Read(5, &out).ok());
+    EXPECT_EQ(pool.PeekFrame(2), nullptr);  // the victim
+    EXPECT_NE(pool.PeekFrame(1), nullptr);
+    EXPECT_EQ(PeekPage(file, 1).size(), 1);
+    EXPECT_EQ(PeekPage(file, 2).size(), 1);
+    EXPECT_EQ(pool.dirty_pages(), 0);
+    EXPECT_EQ(pool.stats().writebacks, 2);
   }
-  StatusOr<PageGuard> reader = pool->PinRead(1);
-  ASSERT_TRUE(reader.ok());
-  StatusOr<PageGuard> miss = pool->PinRead(3);
-  ASSERT_TRUE(miss.ok()) << miss.status();
-  EXPECT_EQ(PeekPage(file_, 1).size(), 1);  // read-pinned, written back
-  EXPECT_EQ(PeekPage(file_, 2).size(), 1);  // the victim
-  EXPECT_EQ(reader->page().MinKey(), 1u);
-  EXPECT_EQ(pool->dirty_pages(), 0);
 }
 
 // Eviction must preserve every written record: the logical view (frame
@@ -188,10 +178,8 @@ TEST_F(BufferPoolTest, EvictionFlushesReadPinnedDirtyPrefix) {
 TEST_F(BufferPoolTest, EvictionWritesBackDirtyVictims) {
   auto pool = MakePool(2);
   for (Address a = 1; a <= 8; ++a) {
-    StatusOr<PageGuard> g = pool->PinWrite(a);
-    ASSERT_TRUE(g.ok());
     const Key k = static_cast<Key>(a);
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{k, k * 10}).ok());
+    ASSERT_TRUE(Write(*pool, a, {{k, k * 10}}).ok());
   }
   EXPECT_EQ(pool->stats().evictions, 6);
   EXPECT_EQ(pool->resident_pages(), 2);
@@ -210,15 +198,16 @@ TEST_F(BufferPoolTest, ClockSparesAPageReferencedAfterTheHandPassed) {
   for (const bool rereference : {false, true}) {
     SCOPED_TRACE(rereference ? "page 2 referenced again" : "no reference");
     auto pool = MakePool(3);
-    for (Address a = 1; a <= 4; ++a) ASSERT_TRUE(pool->PinRead(a).ok());
+    std::vector<Record> out;
+    for (Address a = 1; a <= 4; ++a) ASSERT_TRUE(pool->Read(a, &out).ok());
     // Loading page 4 took the hand once around the three frames: it
     // cleared every bit, evicted page 1 and now rests on page 2's frame,
     // whose bit is clear.
     ASSERT_EQ(pool->PeekFrame(1), nullptr);
     if (rereference) {
-      ASSERT_TRUE(pool->PinRead(2).ok());
+      ASSERT_TRUE(pool->Read(2, &out).ok());
     }
-    ASSERT_TRUE(pool->PinRead(5).ok());
+    ASSERT_TRUE(pool->Read(5, &out).ok());
 
     EXPECT_EQ(pool->PeekFrame(2) != nullptr, rereference);
     EXPECT_EQ(pool->PeekFrame(3) != nullptr, !rereference);
@@ -230,11 +219,7 @@ TEST_F(BufferPoolTest, ClockSparesAPageReferencedAfterTheHandPassed) {
 
 TEST_F(BufferPoolTest, WriteBackFaultLeavesFrameDirtyAndPoolConsistent) {
   auto pool = MakePool(4);
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(5);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{50, 500}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 5, {{50, 500}}).ok());
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailAddressRange(5, 5, /*writes_only=*/true);
   file_.set_fault_policy(policy);
@@ -261,10 +246,8 @@ TEST_F(BufferPoolTest, WriteBackFaultLeavesFrameDirtyAndPoolConsistent) {
 TEST_F(BufferPoolTest, FlushStopsAtFaultPreservingOrder) {
   auto pool = MakePool(4);
   for (Address a = 1; a <= 3; ++a) {
-    StatusOr<PageGuard> g = pool->PinWrite(a);
-    ASSERT_TRUE(g.ok());
     const Key k = static_cast<Key>(a);
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{k, k}).ok());
+    ASSERT_TRUE(Write(*pool, a, {{k, k}}).ok());
   }
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailNthAccess(2);  // the flush's second device write
@@ -286,10 +269,8 @@ TEST_F(BufferPoolTest, SequentialFlushCoalescesIntoRuns) {
   auto pool = MakePool(8);
   // Two address runs dirtied in flush order: {3,4,5,6} and {10}.
   for (Address a : {3, 4, 5, 6, 10}) {
-    StatusOr<PageGuard> g = pool->PinForOverwrite(a);
-    ASSERT_TRUE(g.ok());
     const Key k = static_cast<Key>(a);
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{k, k}).ok());
+    ASSERT_TRUE(Write(*pool, a, {{k, k}}).ok());
   }
   const IoStats before = file_.stats();
   ASSERT_TRUE(pool->FlushAll().ok());
@@ -305,21 +286,13 @@ TEST_F(BufferPoolTest, SequentialFlushCoalescesIntoRuns) {
 
 TEST_F(BufferPoolTest, MarkFreeRidesDirtyOrderUnaccounted) {
   auto pool = MakePool(4);
-  {
-    StatusOr<PageGuard> g = pool->PinForOverwrite(2);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{9, 9}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 2, {{9, 9}}).ok());
   ASSERT_TRUE(pool->FlushAll().ok());
   ASSERT_EQ(PeekPage(file_, 2).size(), 1);
 
   // "Move" the record to page 3 and free page 2, as a shrinking
   // macro-block would.
-  {
-    StatusOr<PageGuard> g = pool->PinForOverwrite(3);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{9, 9}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 3, {{9, 9}}).ok());
   ASSERT_TRUE(pool->MarkFree(2).ok());
 
   const IoStats before = file_.stats();
@@ -333,33 +306,20 @@ TEST_F(BufferPoolTest, MarkFreeRidesDirtyOrderUnaccounted) {
   EXPECT_EQ(delta.page_writes, 1);
 }
 
-// --- Content-aware write-back: rules 2' and 3† (PinForRewrite) ---
+// --- Content-aware write-back: rules 2' and 3† ---
 
 TEST_F(BufferPoolTest, RewriteSupersetAbsorbsWithoutFlush) {
   SeedPage(3, 30);
   auto pool = MakePool(4);
-  { ASSERT_TRUE(pool->PinRead(3).ok()); }  // resident: exact ledger
-  const std::vector<Record> v1 = {{30, 30}, {40, 40}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, v1.data(), v1.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : v1) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(3, &out).ok());  // resident: exact ledger
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}, {40, 40}}).ok());
   // A second dirty frame makes page 3 non-tail.
-  {
-    StatusOr<PageGuard> g = pool->PinForOverwrite(5);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{50, 50}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 5, {{50, 50}}).ok());
   // Rule 2': the rewrite only adds a record, so it absorbs at page 3's
   // original position in L — no flush, no device traffic.
   const IoStats before = file_.stats();
-  const std::vector<Record> v2 = {{30, 30}, {35, 35}, {40, 40}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, v2.data(), v2.data() + 3);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : v2) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}, {35, 35}, {40, 40}}).ok());
   EXPECT_EQ(pool->stats().additive_absorbs, 1);
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
@@ -371,29 +331,15 @@ TEST_F(BufferPoolTest, RewriteRelocatesWhenNothingDependsOnIt) {
   SeedPage(3, 30);
   SeedPage(5, 50);
   auto pool = MakePool(4);
-  { ASSERT_TRUE(pool->PinRead(3).ok()); }
-  { ASSERT_TRUE(pool->PinRead(5).ok()); }
-  const std::vector<Record> p3 = {{30, 30}, {40, 40}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, p3.data(), p3.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : p3) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
-  const std::vector<Record> p5 = {{50, 50}, {60, 60}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(5, p5.data(), p5.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : p5) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(3, &out).ok());
+  ASSERT_TRUE(pool->Read(5, &out).ok());
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}, {40, 40}}).ok());
+  ASSERT_TRUE(Write(*pool, 5, {{50, 50}, {60, 60}}).ok());
   // Rule 3†: dropping key 40 from non-tail page 3 is safe to relocate to
   // the tail — no later frame's ledger lists a key page 3 still holds.
   const IoStats before = file_.stats();
-  const std::vector<Record> p3b = {{30, 30}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, p3b.data(), p3b.data() + 1);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(p3b[0]).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
   EXPECT_EQ(pool->stats().relocations, 1);
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
@@ -412,26 +358,13 @@ TEST_F(BufferPoolTest, RewriteRefusesRelocationWhenRemovalDependsOnIt) {
   SeedPage(2, 10);
   SeedPage(3, 30);
   auto pool = MakePool(4);
-  { ASSERT_TRUE(pool->PinRead(2).ok()); }
-  { ASSERT_TRUE(pool->PinRead(3).ok()); }
-  const std::vector<Record> dup = {{10, 10}, {30, 30}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, dup.data(), dup.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : dup) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(2, nullptr, nullptr);
-    ASSERT_TRUE(g.ok());
-  }
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(2, &out).ok());
+  ASSERT_TRUE(pool->Read(3, &out).ok());
+  ASSERT_TRUE(Write(*pool, 3, {{10, 10}, {30, 30}}).ok());
+  ASSERT_TRUE(Write(*pool, 2, {}).ok());
   const IoStats before = file_.stats();
-  const std::vector<Record> drop = {{30, 30}};
-  {
-    StatusOr<PageGuard> g =
-        pool->PinForRewrite(3, drop.data(), drop.data() + 1);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(drop[0]).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
   EXPECT_EQ(pool->stats().relocations, 0);
   EXPECT_EQ(pool->stats().ordered_flushes, 1);
   EXPECT_EQ((file_.stats() - before).page_writes, 1);
@@ -447,27 +380,14 @@ TEST_F(BufferPoolTest, VolatileKeyLiftsRelocationConstraint) {
   SeedPage(2, 10);
   SeedPage(3, 30);
   auto pool = MakePool(4);
-  { ASSERT_TRUE(pool->PinRead(2).ok()); }
-  { ASSERT_TRUE(pool->PinRead(3).ok()); }
-  const std::vector<Record> dup = {{10, 10}, {30, 30}};
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(3, dup.data(), dup.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : dup) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
-  }
-  {
-    StatusOr<PageGuard> g = pool->PinForRewrite(2, nullptr, nullptr);
-    ASSERT_TRUE(g.ok());
-  }
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(2, &out).ok());
+  ASSERT_TRUE(pool->Read(3, &out).ok());
+  ASSERT_TRUE(Write(*pool, 3, {{10, 10}, {30, 30}}).ok());
+  ASSERT_TRUE(Write(*pool, 2, {}).ok());
   pool->NoteVolatile(10);
   const IoStats before = file_.stats();
-  const std::vector<Record> drop = {{30, 30}};
-  {
-    StatusOr<PageGuard> g =
-        pool->PinForRewrite(3, drop.data(), drop.data() + 1);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(drop[0]).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
   EXPECT_EQ(pool->stats().relocations, 1);
   EXPECT_EQ(pool->stats().ordered_flushes, 0);
   EXPECT_EQ((file_.stats() - before).page_writes, 0);
@@ -485,15 +405,12 @@ TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
   SeedPage(7, 70);
   auto pool = MakePool(4);
   for (const Address a : {Address{7}, Address{5}, Address{6}}) {
-    { ASSERT_TRUE(pool->PinRead(a).ok()); }
+    std::vector<Record> out;
+    ASSERT_TRUE(pool->Read(a, &out).ok());
     // Values match the seeded records: a changed value would count as a
     // removal and pin the frame to L order.
-    const std::vector<Record> v = {
-        {static_cast<Key>(10 * a), static_cast<Key>(10 * a)},
-        {static_cast<Key>(10 * a + 1), static_cast<Key>(10 * a + 1)}};
-    StatusOr<PageGuard> g = pool->PinForRewrite(a, v.data(), v.data() + 2);
-    ASSERT_TRUE(g.ok());
-    for (const Record& r : v) ASSERT_TRUE(g->mutable_page()->Insert(r).ok());
+    const Key k = static_cast<Key>(10 * a);
+    ASSERT_TRUE(Write(*pool, a, {{k, k}, {k + 1, k + 1}}).ok());
   }
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(pool->stats().flush_runs, 1);
@@ -505,11 +422,7 @@ TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
 TEST_F(BufferPoolTest, DropAllLosesDirtyDataByDesign) {
   SeedPage(1, 1);
   auto pool = MakePool(4);
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(2);
-    ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->mutable_page()->Insert(Record{2, 2}).ok());
-  }
+  ASSERT_TRUE(Write(*pool, 2, {{2, 2}}).ok());
   pool->DropAll();
   EXPECT_EQ(pool->resident_pages(), 0);
   EXPECT_EQ(pool->dirty_pages(), 0);
@@ -517,17 +430,83 @@ TEST_F(BufferPoolTest, DropAllLosesDirtyDataByDesign) {
   EXPECT_EQ(PeekPage(file_, 1).MinKey(), 1);  // device state untouched
 
   // The pool is fully reusable afterwards.
-  StatusOr<PageGuard> g = pool->PinRead(1);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->page().MinKey(), 1);
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(1, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].key, 1u);
 }
 
 TEST_F(BufferPoolTest, OutOfRangeAddressRejected) {
   auto pool = MakePool(2);
-  EXPECT_EQ(pool->PinRead(0).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(pool->PinRead(65).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(pool->PinWrite(65).status().code(), StatusCode::kOutOfRange);
+  std::vector<Record> out;
+  EXPECT_EQ(pool->Read(0, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(pool->Read(65, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(Write(*pool, 65, {{1, 1}}).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(pool->resident_pages(), 0);
+}
+
+TEST_F(BufferPoolTest, TryEpochGetServesResidentFrames) {
+  SeedPage(1, 10);
+  SeedPage(2, 20);
+  auto pool = MakePool(4);
+  Record r{0, 0};
+  // Nothing resident yet: the epoch read answers nothing and never
+  // touches the device.
+  EXPECT_FALSE(pool->TryEpochGet(10, &r));
+  EXPECT_EQ(file_.stats().page_reads, 0);
+
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(1, &out).ok());
+  const int64_t device_reads = file_.stats().page_reads;
+  EXPECT_TRUE(pool->TryEpochGet(10, &r));
+  EXPECT_EQ(r.key, 10u);
+  EXPECT_EQ(r.value, 10u);
+  EXPECT_EQ(file_.stats().page_reads, device_reads);  // RAM only
+  // Positive hits only: an absent key — or a key on a non-resident page
+  // — is "don't know", never "not found".
+  EXPECT_FALSE(pool->TryEpochGet(11, &r));
+  EXPECT_FALSE(pool->TryEpochGet(20, &r));
+}
+
+TEST_F(BufferPoolTest, ConcurrentReadersAndWriterSeeWholePages) {
+  // Readers hammer overlapping pages through Read and TryEpochGet while
+  // a writer rewrites the same images through Write, forcing misses,
+  // evictions and dirty write-back under the readers. Every copy must
+  // show its page's seeded contents. Run under TSan this is the race
+  // check for "content changes only under the pool mutex".
+  for (Address a = 1; a <= 8; ++a) {
+    SeedPage(a, static_cast<Key>(10 * static_cast<Key>(a)));
+  }
+  auto pool = MakePool(4);
+  std::atomic<bool> wrong_contents{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < 500; ++i) {
+        const Address a = static_cast<Address>(rng.Uniform(8) + 1);
+        const Key k = static_cast<Key>(10 * static_cast<Key>(a));
+        if (t == 0) {
+          if (!Write(*pool, a, {{k, k}}).ok()) wrong_contents.store(true);
+          continue;
+        }
+        std::vector<Record> out;
+        if (!pool->Read(a, &out).ok() || out.size() != 1 || out[0].key != k) {
+          wrong_contents.store(true);
+        }
+        Record r{0, 0};
+        if (pool->TryEpochGet(k, &r) && r.value != k) {
+          wrong_contents.store(true);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(wrong_contents.load());
+  ASSERT_TRUE(pool->FlushAll().ok());
+  for (Address a = 1; a <= 8; ++a) {
+    EXPECT_EQ(PeekPage(file_, a).MinKey(), static_cast<Key>(10 * a));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -692,23 +671,20 @@ TEST(BufferPoolDenseFileTest, CreateRejectsNegativeCacheFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded integration: byte budget split and crash recovery across pools.
+// Sharded integration: crash recovery across per-shard pools.
 
-TEST(BufferPoolShardedTest, CacheBytesSplitEvenlyAcrossShards) {
+TEST(BufferPoolShardedTest, PerShardPoolsRecoverFromWholeMachineCrash) {
   ShardedDenseFile::Options options;
   options.num_shards = 4;
   options.key_space = 4000;
   options.shard.num_pages = 64;
   options.shard.d = 8;
   options.shard.D = 8 + 4 * 6 + 1;
-  const int64_t frame_bytes =
-      (options.shard.D + 1) * static_cast<int64_t>(sizeof(Record));
-  options.cache_bytes = options.num_shards * 16 * frame_bytes;
+  options.shard.cache_frames = 16;
 
   auto created = ShardedDenseFile::Create(options);
   ASSERT_TRUE(created.ok());
   ShardedDenseFile& file = **created;
-  EXPECT_EQ(file.options().shard.cache_frames, 16);
 
   Rng rng(7);
   const Trace trace = UniformMix(/*num_ops=*/4000, /*insert_fraction=*/0.45,
@@ -741,118 +717,6 @@ TEST(BufferPoolShardedTest, CacheBytesSplitEvenlyAcrossShards) {
   ASSERT_TRUE(file.CheckAndRepair().ok());
   ASSERT_TRUE(file.ValidateInvariants().ok());
   EXPECT_EQ(*file.ScanAll(), model.ScanAll());
-}
-
-// Pin-leak diagnostics: a PageGuard held past its command shows up in
-// PinLeakReport() with the owner tag its pinner declared, and vanishes
-// once released. (The destructor logs this report in debug builds, so a
-// guard leaked across a pool's lifetime is attributed, not silent.)
-TEST_F(BufferPoolTest, PinLeakReportNamesOwnerTags) {
-  auto pool = MakePool(4);
-  EXPECT_EQ(pool->PinLeakReport(), "");
-
-  StatusOr<PageGuard> read = pool->PinRead(2, "leak_test_reader");
-  ASSERT_TRUE(read.ok()) << read.status();
-  StatusOr<PageGuard> write = pool->PinWrite(5, "leak_test_writer");
-  ASSERT_TRUE(write.ok()) << write.status();
-
-  const std::string report = pool->PinLeakReport();
-  EXPECT_NE(report.find("leak_test_reader"), std::string::npos) << report;
-  EXPECT_NE(report.find("leak_test_writer"), std::string::npos) << report;
-  EXPECT_NE(report.find("page 2"), std::string::npos) << report;
-  EXPECT_NE(report.find("page 5"), std::string::npos) << report;
-  EXPECT_EQ(pool->live_guards(), 2);
-
-  read->Release();
-  const std::string remaining = pool->PinLeakReport();
-  EXPECT_EQ(remaining.find("leak_test_reader"), std::string::npos);
-  EXPECT_NE(remaining.find("leak_test_writer"), std::string::npos);
-
-  write->Release();
-  EXPECT_EQ(pool->PinLeakReport(), "");
-  EXPECT_EQ(pool->live_guards(), 0);
-  ASSERT_TRUE(pool->FlushAll().ok());
-}
-
-TEST_F(BufferPoolTest, TryEpochGetServesResidentStableFrames) {
-  SeedPage(1, 10);
-  SeedPage(2, 20);
-  auto pool = MakePool(4);
-  Record r{0, 0};
-  // Nothing resident yet: the epoch read answers nothing and never
-  // touches the device.
-  EXPECT_FALSE(pool->TryEpochGet(10, &r));
-  EXPECT_EQ(file_.stats().page_reads, 0);
-
-  ASSERT_TRUE(pool->PinRead(1).ok());
-  const int64_t device_reads = file_.stats().page_reads;
-  EXPECT_TRUE(pool->TryEpochGet(10, &r));
-  EXPECT_EQ(r.key, 10u);
-  EXPECT_EQ(r.value, 10u);
-  EXPECT_EQ(file_.stats().page_reads, device_reads);  // RAM only
-  // Positive hits only: an absent key — or a key on a non-resident page
-  // — is "don't know", never "not found".
-  EXPECT_FALSE(pool->TryEpochGet(11, &r));
-  EXPECT_FALSE(pool->TryEpochGet(20, &r));
-}
-
-TEST_F(BufferPoolTest, TryEpochGetSkipsFramesUnderWriteGuard) {
-  SeedPage(1, 10);
-  auto pool = MakePool(4);
-  Record r{0, 0};
-  {
-    StatusOr<PageGuard> g = pool->PinWrite(1);
-    ASSERT_TRUE(g.ok());
-    // The frame's version is odd while a write guard is outstanding:
-    // the epoch read must refuse it even though the key is present.
-    EXPECT_FALSE(pool->TryEpochGet(10, &r));
-  }
-  // Guard released — version even again — so the frame is readable.
-  EXPECT_TRUE(pool->TryEpochGet(10, &r));
-  EXPECT_EQ(r.value, 10u);
-}
-
-TEST_F(BufferPoolTest, ConcurrentSharedReadersLeakNoPins) {
-  // Readers hammer overlapping pages through guarded pins and epoch
-  // reads; after they join, not a single pin may remain and every read
-  // must have seen its page's seeded contents. Run under TSan this is
-  // the reader-vs-reader race check for the pool's pin accounting.
-  for (Address a = 1; a <= 8; ++a) {
-    SeedPage(a, static_cast<Key>(10 * static_cast<Key>(a)));
-  }
-  auto pool = MakePool(4);
-  std::atomic<bool> wrong_contents{false};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      Rng rng(static_cast<uint64_t>(t) + 1);
-      for (int i = 0; i < 500; ++i) {
-        const Address a = static_cast<Address>(rng.Uniform(8) + 1);
-        const Key k = static_cast<Key>(10 * static_cast<Key>(a));
-        StatusOr<PageGuard> g = pool->PinRead(a);
-        if (g.ok() && g->page().MinKey() != k) wrong_contents.store(true);
-        Record r{0, 0};
-        if (pool->TryEpochGet(k, &r) && r.value != k) {
-          wrong_contents.store(true);
-        }
-      }
-    });
-  }
-  for (auto& thread : readers) thread.join();
-  EXPECT_FALSE(wrong_contents.load());
-  EXPECT_EQ(pool->live_guards(), 0) << pool->PinLeakReport();
-  EXPECT_EQ(pool->PinLeakReport(), "");
-}
-
-TEST(BufferPoolShardedTest, NegativeCacheBytesRejected) {
-  ShardedDenseFile::Options options;
-  options.num_shards = 2;
-  options.key_space = 100;
-  options.shard.num_pages = 64;
-  options.shard.d = 8;
-  options.shard.D = 8 + 4 * 6 + 1;
-  options.cache_bytes = -5;
-  EXPECT_TRUE(ShardedDenseFile::Create(options).status().IsInvalidArgument());
 }
 
 }  // namespace

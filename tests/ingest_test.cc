@@ -52,7 +52,7 @@ std::unique_ptr<DenseFile> Make(const DenseFile::Options& options) {
 // Memtable unit tests.
 
 TEST(Memtable, KeepsStrictKeyOrderAndCounts) {
-  Memtable table({/*max_entries=*/8, /*max_bytes=*/0});
+  Memtable table({/*max_entries=*/8});
   EXPECT_EQ(table.capacity(), 8);
   ASSERT_TRUE(table.Add(Record{5, 50}, StagedEntry::Kind::kInsert).ok());
   ASSERT_TRUE(table.Add(Record{1, 10}, StagedEntry::Kind::kTombstone).ok());
@@ -69,22 +69,18 @@ TEST(Memtable, KeepsStrictKeyOrderAndCounts) {
   ASSERT_NE(table.Find(3), nullptr);
   EXPECT_EQ(table.Find(3)->record.value, 30);
   EXPECT_EQ(table.Find(4), nullptr);
-}
 
-TEST(Memtable, CapacityIsSmallerOfTheTwoBudgets) {
-  const int64_t entry_bytes = static_cast<int64_t>(sizeof(StagedEntry));
-  Memtable byte_bound({/*max_entries=*/100, /*max_bytes=*/4 * entry_bytes});
-  EXPECT_EQ(byte_bound.capacity(), 4);
-  for (Key k = 1; k <= 4; ++k) {
-    ASSERT_TRUE(byte_bound.Add(Record{k, k}, StagedEntry::Kind::kInsert).ok());
+  // Filling the entry budget makes the table full; one more is refused.
+  for (Key k = 6; k <= 10; ++k) {
+    ASSERT_TRUE(table.Add(Record{k, k}, StagedEntry::Kind::kInsert).ok());
   }
-  EXPECT_TRUE(byte_bound.full());
-  EXPECT_TRUE(byte_bound.Add(Record{5, 5}, StagedEntry::Kind::kInsert)
+  EXPECT_TRUE(table.full());
+  EXPECT_TRUE(table.Add(Record{11, 11}, StagedEntry::Kind::kInsert)
                   .IsCapacityExceeded());
 }
 
 TEST(Memtable, ReassignAndEraseKeepCountsHonest) {
-  Memtable table({/*max_entries=*/8, /*max_bytes=*/0});
+  Memtable table({/*max_entries=*/8});
   ASSERT_TRUE(table.Add(Record{2, 20}, StagedEntry::Kind::kInsert).ok());
   EXPECT_TRUE(table.Reassign(2, Record{2, 21}, StagedEntry::Kind::kUpdate));
   EXPECT_EQ(table.insert_count(), 0);
@@ -254,7 +250,9 @@ TEST(IngestStaging, TombstoneCreditAdmitsInsertAtCapacity) {
   std::unique_ptr<DenseFile> f = Make(StagedOptions(/*staging_entries=*/8));
   const int64_t capacity = f->capacity();
   std::vector<Record> full;
-  for (Key k = 1; k <= capacity; ++k) full.push_back(Record{2 * k, k});
+  for (Key k = 1; k <= static_cast<Key>(capacity); ++k) {
+    full.push_back(Record{2 * k, k});
+  }
   ASSERT_TRUE(f->BulkLoad(full).ok());
   // Merged-capacity accounting: a staged tombstone frees the slot the
   // staged insert needs, even though the durable file is still full when
@@ -369,15 +367,14 @@ TEST(IngestStaging, CrashLosesStagedEntriesOnly) {
   ASSERT_TRUE(f->ValidateInvariants().ok());
 }
 
-TEST(IngestStaging, ShardedSplitsStagingAndAggregatesStats) {
+TEST(IngestStaging, ShardedStagingAggregatesStats) {
   ShardedDenseFile::Options options;
   options.num_shards = 4;
   options.key_space = 4 * 64 * 4;
   options.shard.num_pages = 64;
   options.shard.d = 4;
   options.shard.D = 44;
-  options.staging_bytes =
-      4 * 8 * static_cast<int64_t>(sizeof(StagedEntry));  // 8 entries/shard
+  options.shard.staging_entries = 8;
   StatusOr<std::unique_ptr<ShardedDenseFile>> made =
       ShardedDenseFile::Create(options);
   ASSERT_TRUE(made.ok()) << made.status();
@@ -397,6 +394,7 @@ TEST(IngestStaging, ShardedSplitsStagingAndAggregatesStats) {
   EXPECT_EQ(total.puts, 400);
   EXPECT_EQ(total.drained_entries, 400);
   EXPECT_EQ(total.entries, 0);
+  EXPECT_EQ(total.capacity, 4 * 8);
   for (Key k = 1; k <= 400; ++k) {
     ASSERT_TRUE(f.Get(k).ok()) << "key " << k;
   }

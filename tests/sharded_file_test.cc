@@ -133,38 +133,6 @@ TEST(ShardedDenseFileTest, PointOpsMatchSingleFileSemantics) {
   EXPECT_EQ(file->size(), 0);
 }
 
-TEST(ShardedDenseFileTest, StagingBudgetTooSmallPerShardIsRejected) {
-  // Regression: a byte budget whose per-shard share cannot hold one
-  // staged entry used to be silently rounded UP to one entry per shard,
-  // quietly multiplying the caller's budget by up to S. It must be a
-  // configuration error instead.
-  ShardedDenseFile::Options options = SmallOptions(4, 1000);
-  options.staging_bytes = 2 * static_cast<int64_t>(sizeof(StagedEntry));
-  EXPECT_TRUE(ShardedDenseFile::Create(options).status().IsInvalidArgument());
-}
-
-TEST(ShardedDenseFileTest, StagingBudgetRemainderGoesToFirstShards) {
-  // Regression: the even split used to drop the remainder, losing up to
-  // S-1 entries of the budget. 14 entries over 4 shards must come out
-  // as 4+4+3+3, not 3+3+3+3.
-  ShardedDenseFile::Options options = SmallOptions(4, 1000);
-  const int64_t entry = static_cast<int64_t>(sizeof(StagedEntry));
-  options.staging_bytes = 14 * entry;
-  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
-  EXPECT_EQ(file->shard_staging_stats(0).capacity, 4);
-  EXPECT_EQ(file->shard_staging_stats(1).capacity, 4);
-  EXPECT_EQ(file->shard_staging_stats(2).capacity, 3);
-  EXPECT_EQ(file->shard_staging_stats(3).capacity, 3);
-  EXPECT_EQ(file->staging_stats().capacity, 14);
-
-  // An exactly-even budget still splits evenly.
-  options.staging_bytes = 8 * entry;
-  file = MakeFile(options);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(file->shard_staging_stats(i).capacity, 2) << "shard " << i;
-  }
-}
-
 TEST(ShardedDenseFileTest, ReadBranchCountersAccountEveryPointRead) {
   MetricsRegistry registry;
   ShardedDenseFile::Options options = SmallOptions(4, 1000);
@@ -275,7 +243,9 @@ TEST(ShardedDenseFileTest, DeleteRangeWithStagingMatchesModel) {
     const Record r{k, k + 1};
     const Status s = file->Insert(r);
     ASSERT_TRUE(s.ok() || s.IsAlreadyExists());
-    if (s.ok()) ASSERT_TRUE(model.Insert(r).ok());
+    if (s.ok()) {
+      ASSERT_TRUE(model.Insert(r).ok());
+    }
   }
 
   const int64_t expected =

@@ -5,6 +5,7 @@
 // ten times its buffer pool, superblock version rejection, and torn-page
 // (CRC) handling.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -488,6 +489,49 @@ TEST(FileBackendLargeFile, TenTimesThePoolMatchesTheModel) {
   EXPECT_FALSE(damage.AnythingRepaired()) << damage.ToString();
   EXPECT_EQ(*file.ScanAll(), model.ScanAll());
   EXPECT_TRUE(file.Audit().ok());
+}
+
+// ---------------------------------------------------------------------
+// Barriers per command. A CONTROL 2 SHIFT barrier is a real fdatasync
+// only when some page reached the device since the last one. Every
+// pooled write passes its full image, so a SHIFT chain's re-dirty of a
+// pending frame absorbs or relocates in the pool instead of forcing a
+// mid-command flush: a surge insert pays its end-of-command sync and at
+// most one more, however many SHIFT cycles it runs.
+
+TEST(FileBackendBarriers, PooledSurgeSyncsAtMostTwicePerInsert) {
+  ScopedTempDir dir("dsf-barriers");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  DenseFile::Options options;
+  options.num_pages = 1024;
+  options.d = 128;
+  options.D = 240;
+  options.policy = DenseFile::Policy::kControl2;
+  options.cache_frames = 1024;
+  options.backend_factory = FileBackend::CreateFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> created = DenseFile::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  DenseFile& file = **created;
+  const Key stride = 65536;
+  const int64_t n = options.num_pages * options.d / 2;
+  ASSERT_TRUE(file.BulkLoad(MakeAscendingRecords(n, stride, stride)).ok());
+
+  // Inserts into the 64 strides above the middle record.
+  const Key middle = stride * static_cast<Key>(n / 2 + 1);
+  Rng rng(7);
+  const Trace surge =
+      HotspotSurge(5000, middle + 1, middle + 64 * stride - 1, rng);
+  const auto* backend = static_cast<const FileBackend*>(file.storage_backend());
+  ASSERT_NE(backend, nullptr);
+  int64_t max_syncs = 0;
+  for (const Op& op : surge) {
+    const int64_t before = backend->stats().syncs;
+    const Status s = file.Insert(op.record);
+    ASSERT_TRUE(s.ok() || s.IsAlreadyExists()) << s;
+    max_syncs = std::max(max_syncs, backend->stats().syncs - before);
+  }
+  EXPECT_LE(max_syncs, 2);
 }
 
 // ---------------------------------------------------------------------
