@@ -243,7 +243,7 @@ void AuditControl2State(const Control2& control,
   const Calibrator& calibrator = control.calibrator();
   const DensitySpec& spec = control.logical_spec();
   // The ablation knobs weaken Fact 5.1 by design; only the paper's
-  // algorithm promises it (mirrors Control2::ValidateInvariants).
+  // algorithm promises it (mirrors Control2::ValidateInMemory).
   const bool paper_faithful =
       !control.options().disable_rollback_for_testing &&
       control.options().lower_threshold_thirds == kThirds1Of3;

@@ -79,8 +79,8 @@ Status Control1::Delete(Key key) {
   return EndCommand(write);
 }
 
-Status Control1::ValidateInvariants() const {
-  DSF_RETURN_IF_ERROR(ControlBase::ValidateInvariants());
+Status Control1::ValidateInMemory() const {
+  DSF_RETURN_IF_ERROR(ControlBase::ValidateInMemory());
   return ValidateBalance();
 }
 

@@ -33,10 +33,11 @@ class Control1 : public ControlBase {
   Status Delete(Key key) override;
   std::string Name() const override { return "CONTROL1"; }
 
-  // Structural checks plus BALANCE(d,D), which step B maintains.
-  Status ValidateInvariants() const override;
-
   const Stats& stats() const { return stats_; }
+
+ protected:
+  // Base checks plus BALANCE(d,D), which step B maintains.
+  Status ValidateInMemory() const override;
 
  private:
   Control1(const Config& config, DensitySpec logical_spec)

@@ -280,15 +280,15 @@ Status Control2::Shift(int v) {
     }
     // DEST before SOURCE: until the source write lands, the moved records
     // exist in both blocks, so a crash between the writes duplicates them
-    // (CheckAndRepair dedupes) rather than losing them. Unpooled, the sync
-    // barrier extends the guarantee to power loss: the duplicate copy is
-    // durable before the delete is issued. (No-op without a backend.)
-    // Pooled, both blocks are still dirty frames here; EndCommand's flush
-    // issues DEST before SOURCE, which a process kill preserves, but with
-    // no barrier between them — against power loss that order is not
-    // guaranteed (docs/STORAGE.md, "Barrier placement").
+    // (CheckAndRepair dedupes) rather than losing them. Unpooled, both
+    // writes are device writes, and the barrier between them orders DEST
+    // before SOURCE against power loss too. (No-op without a backend.)
+    // Pooled, both blocks are frames: they reach the device later in the
+    // pool's dirty order, which a process kill preserves, so a barrier
+    // here would order nothing and cost an fdatasync whenever an eviction
+    // wrote back mid-command (docs/STORAGE.md, "Barrier placement").
     DSF_RETURN_IF_ERROR(WriteBlock(dest, dest_records));
-    DSF_RETURN_IF_ERROR(file_.SyncBarrier());
+    if (pool_ == nullptr) DSF_RETURN_IF_ERROR(file_.SyncBarrier());
     DSF_RETURN_IF_ERROR(WriteBlock(source, src_records));
     stats_.records_shifted += moves;
     if (m_shift_records_ != nullptr) m_shift_records_->Increment(moves);
@@ -422,8 +422,8 @@ Status Control2::Delete(Key key) {
   return EndCommand(maintenance);
 }
 
-Status Control2::ValidateInvariants() const {
-  DSF_RETURN_IF_ERROR(ControlBase::ValidateInvariants());
+Status Control2::ValidateInMemory() const {
+  DSF_RETURN_IF_ERROR(ControlBase::ValidateInMemory());
   // I4: BALANCE(d,D) at command end (Theorem 5.5).
   DSF_RETURN_IF_ERROR(ValidateBalance());
 

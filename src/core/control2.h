@@ -116,9 +116,6 @@ class Control2 : public ControlBase {
   Status Delete(Key key) override;
   std::string Name() const override { return "CONTROL2"; }
 
-  // Base checks plus Fact 5.1 flag consistency and DEST pointer sanity.
-  Status ValidateInvariants() const override;
-
   int64_t J() const { return j_; }
   const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
@@ -164,6 +161,9 @@ class Control2 : public ControlBase {
                         const std::string& label = "") override;
 
  protected:
+  // Base checks plus BALANCE(d,D), Fact 5.1 flag consistency, DEST
+  // pointer sanity and SELECT's aggregates.
+  Status ValidateInMemory() const override;
   void AfterBulkLoad() override;
   void AfterWholesaleReorganization() override;
   void AfterRangeDeletion(Address lo_block, Address hi_block) override;

@@ -324,15 +324,31 @@ Address ControlBase::MaybeSpillAfter(Address block, Address limit) const {
 StatusOr<Record> ControlBase::Get(Key key) {
   const Address block = BlockPossiblyContaining(key);
   if (block == 0) return Status::NotFound("key absent");
-  StatusOr<std::vector<Record>> records = ReadBlock(block);
-  DSF_RETURN_IF_ERROR(records.status());
-  const auto it =
-      std::lower_bound(records->begin(), records->end(), Record{key, 0},
-                       RecordKeyLess);
-  if (it == records->end() || it->key != key) {
-    return Status::NotFound("key absent");
+  // The probe is charged as ReadBlock charges a block: every used page,
+  // in order. Each page is searched where it lies — the pool frame or
+  // the page TryRead returned — and only the hit is copied out.
+  const int64_t used = PagesUsed(calibrator_.Count(calibrator_.LeafOf(block)));
+  const Address first = FirstPhysicalPage(block);
+  Page scratch;
+  Record hit{0, 0};
+  bool found = false;
+  for (int64_t i = 0; i < used; ++i) {
+    if (pool_ != nullptr) {
+      StatusOr<bool> in_page = pool_->Find(first + i, key, &hit);
+      DSF_RETURN_IF_ERROR(in_page.status());
+      found = found || *in_page;
+    } else {
+      StatusOr<const Page*> p = file_.TryRead(first + i, &scratch);
+      DSF_RETURN_IF_ERROR(p.status());
+      StatusOr<Record> r = (*p)->Find(key);
+      if (r.ok()) {
+        hit = *r;
+        found = true;
+      }
+    }
   }
-  return *it;
+  if (!found) return Status::NotFound("key absent");
+  return hit;
 }
 
 bool ControlBase::Contains(Key key) { return Get(key).ok(); }
@@ -515,11 +531,13 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
     calibrator_.SyncLeaves(lo, leaves);
   }
 
-  // Durability point between the passes: every record's packed copy is
-  // on the device before the spread starts destroying packed positions.
-  // (A no-op without a storage backend, and under a pool mid-command —
-  // nothing has reached the device since the last flush.)
-  {
+  // Durability point between the passes, unpooled: every record's packed
+  // copy is on the device before the spread starts destroying packed
+  // positions. (A no-op without a storage backend.) Pooled, both passes
+  // write frames that reach the device later in the pool's dirty order,
+  // so a barrier here would order nothing and cost an fdatasync whenever
+  // an eviction or a rule-3 flush wrote back mid-command.
+  if (pool_ == nullptr) {
     const Status sync = file_.SyncBarrier();
     if (!sync.ok()) {
       RecordSpan(SpanKind::kRedistribution, lo, hi,
@@ -659,8 +677,11 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
     AfterWholesaleReorganization();
     report.warning_state_rebuilt = true;
     // Nothing was rewritten except quarantined slots, which the barrier
-    // makes durable (a cheap no-op when there were none).
-    if (ValidateInvariants().ok()) {
+    // makes durable (a cheap no-op when there were none). The check pass
+    // above already established I2, I3 and packing, and SyncLeaves made
+    // the leaves mirror the blocks (I5), so only the in-memory checks
+    // remain: re-walking the pages would read the device a second time.
+    if (ValidateInMemory().ok()) {
       DSF_RETURN_IF_ERROR(file_.SyncBarrier());
       return report;
     }
@@ -874,10 +895,19 @@ Status ControlBase::ValidateBalance() const {
 }
 
 Status ControlBase::ValidateInvariants() const {
+  DSF_RETURN_IF_ERROR(ValidatePages());
+  return ValidateInMemory();
+}
+
+Status ControlBase::ValidateInMemory() const {
   // I1: cardinality bound.
   if (calibrator_.TotalRecords() > MaxRecords()) {
     return Status::Corruption("file exceeds N = d*M records");
   }
+  return calibrator_.ValidateAggregates();
+}
+
+Status ControlBase::ValidatePages() const {
   // One walk over the logical view checks every page for I2 (no page
   // above D records outside a command) and I3 (global key order), and
   // every block for I5 (calibrator leaves mirror the true block
@@ -931,7 +961,7 @@ Status ControlBase::ValidateInvariants() const {
                                 std::to_string(block));
     }
   }
-  return calibrator_.ValidateAggregates();
+  return Status::OK();
 }
 
 Status ControlBase::BulkLoad(const std::vector<Record>& records) {

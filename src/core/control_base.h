@@ -262,11 +262,10 @@ class ControlBase {
   // outside tests/auditor_test.cc.
   Calibrator& mutable_calibrator_for_testing() { return calibrator_; }
 
-  // Structural invariants I1-I3 and I5, in one walk over the pages.
-  // Subclasses extend with their algorithm-specific checks — BALANCE(d,D)
-  // for CONTROL 1/2 (Theorem 5.5), flag/pointer sanity for CONTROL 2.
-  // O(M) unaccounted reads; for tests, debugging and post-repair checks.
-  virtual Status ValidateInvariants() const;
+  // Every invariant: the page walk (I2, I3, I5), then ValidateInMemory
+  // (I1, the calibrator aggregates and the policy's own checks). O(M)
+  // unaccounted reads; for tests, debugging and post-repair checks.
+  Status ValidateInvariants() const;
 
   // Loads `records` (strictly ascending keys, size <= d*M) spread with
   // uniform density over the whole file — the initial condition of
@@ -363,6 +362,13 @@ class ControlBase {
   // BALANCE(d,D) over the calibrator (every node p(v) <= g(v,1)).
   Status ValidateBalance() const;
 
+  // The invariants that read no page: I1 and the calibrator aggregates.
+  // Subclasses extend with their algorithm-specific checks — BALANCE(d,D)
+  // for CONTROL 1/2 (Theorem 5.5), flag/pointer sanity for CONTROL 2.
+  // CheckAndRepair's clean exit runs only these: its check pass has just
+  // read every page for what the page walk would re-check.
+  virtual Status ValidateInMemory() const;
+
   DensitySpec logical_spec_;  // over blocks: (M#, K*d, K*D)
   bool smart_placement_;
   int64_t block_size_;
@@ -410,6 +416,8 @@ class ControlBase {
     return (block - 1) * block_size_ + 1;
   }
   void SyncBlock(Address block, const std::vector<Record>& records);
+  // One walk over the logical pages: I2, I3 and I5.
+  Status ValidatePages() const;
   // Lays [begin, end) into `block`'s pages, D per page, with unaccounted
   // RawWrites (loading and repair; no calibrator update).
   Status LayOutBlock(Address block, const Record* begin, const Record* end);

@@ -128,9 +128,8 @@ class DenseFile {
   // The reopen path: Create with a data-bearing backend (e.g.
   // FileBackend::OpenFactory), then CheckAndRepair to rebuild the
   // calibrator and warning state from the device pages and repair any
-  // crash damage (torn-shift duplicates, unreadable pages). The open
-  // reads each slot at most twice (the check pass and the invariant
-  // walk). Requires
+  // crash damage (torn-shift duplicates, unreadable pages). An undamaged
+  // open reads each slot once, in the check pass. Requires
   // options.backend_factory. What the repair pass found is kept on the
   // file: open_repair_report().
   static StatusOr<std::unique_ptr<DenseFile>> Open(const Options& options);

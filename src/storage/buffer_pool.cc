@@ -209,15 +209,13 @@ bool BufferPool::TryEpochGet(Key key, Record* out) {
         records.back().key < key) {
       continue;
     }
-    const auto it =
-        std::lower_bound(records.begin(), records.end(), key,
-                         [](const Record& r, Key k) { return r.key < k; });
-    if (it == records.end() || it->key != key) continue;
+    StatusOr<Record> found = f.page.Find(key);
+    if (!found.ok()) continue;
     // Positive hit from a resident frame — the current logical image of
     // its page. Negative answers are never derived here: a frame
     // covering `key` without holding it may be a stale snapshot of a
     // reorganization in flight (see docs/CONCURRENCY.md).
-    *out = *it;
+    *out = *found;
     file_->CountLogical(/*is_write=*/false);
     return true;
   }
@@ -233,6 +231,17 @@ Status BufferPool::Read(Address address, std::vector<Record>* out) {
       frames_[static_cast<size_t>(*frame)].page.records();
   out->insert(out->end(), records.begin(), records.end());
   return Status::OK();
+}
+
+StatusOr<bool> BufferPool::Find(Address address, Key key, Record* out) {
+  file_->CountLogical(/*is_write=*/false);
+  MutexLock lock(mu_);
+  StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/true);
+  DSF_RETURN_IF_ERROR(frame.status());
+  StatusOr<Record> found = frames_[static_cast<size_t>(*frame)].page.Find(key);
+  if (!found.ok()) return false;
+  *out = *found;
+  return true;
 }
 
 Status BufferPool::Write(Address address, const Record* begin,

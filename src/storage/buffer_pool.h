@@ -12,9 +12,11 @@
 // device (storage/page_file.h).
 //
 // Access. Every access is a copy under the pool's mutex: Read appends
-// a page's records to the caller's vector, Write places a full page
-// image. No caller holds a reference into a frame between calls, so
-// every resident frame is evictable and a request always gets a frame.
+// a page's records to the caller's vector, Find searches the frame in
+// place and copies out the one record a point probe asked for, Write
+// places a full page image. No caller holds a reference into a frame
+// between calls, so every resident frame is evictable and a request
+// always gets a frame.
 //
 // Crash-safe write-back order. The crash-recovery discipline (see
 // docs/FAULTS.md) relies on write *order*: SHIFT duplicates a block at
@@ -24,8 +26,11 @@
 // version with a newer one that no longer carries some record — would
 // destroy that property. The pool therefore keeps dirty frames in a
 // *dirty-order list* L and enforces:
-//   1. flush always walks L front-to-back; pages reach the device in
-//      first-dirtied order, never reordered by address;
+//   1. flush never commutes a removal before the write that re-homed
+//      the removed record: frames whose pending image removes something
+//      reach the device in first-dirtied order, and only order-free
+//      frames (pure additions) may land ahead of them, sorted by
+//      address (SafeOrder);
 //   2. write combining (absorbing a second write to an already-dirty
 //      frame) is allowed only while the frame is the *tail* of L —
 //      nothing was dirtied after it, so collapsing the two versions
@@ -172,6 +177,12 @@ class BufferPool {
   // the device on a miss. Errors: OutOfRange, kIoError (miss fill or
   // eviction write-back fault).
   Status Read(Address address, std::vector<Record>* out) DSF_EXCLUDES(mu_);
+
+  // Point probe with Read's accounting and frame fill: searches page
+  // `address` for `key` in its frame and, when present, copies the one
+  // record into *out and returns true.
+  StatusOr<bool> Find(Address address, Key key, Record* out)
+      DSF_EXCLUDES(mu_);
 
   // Replaces page `address` with the sorted records [begin, end). The
   // frame is not filled from the device (the image is complete); the

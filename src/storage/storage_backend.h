@@ -13,11 +13,13 @@
 //     the order the crash-safe maintenance issued it (docs/FAULTS.md:
 //     DEST-before-SOURCE, directional block rewrites). A process kill
 //     therefore leaves the device holding a prefix of the issued writes;
-//   - SyncBarrier() is called at the points the write-ordering argument
-//     assumes a persistence boundary (the EndCommand flush boundary,
-//     bulk load, repair, and the unpooled SHIFT/redistribution phases;
-//     docs/STORAGE.md says which of them order writes against power
-//     loss) — for a file backend this is fdatasync;
+//   - SyncBarrier() — fdatasync for a file backend — is called at the
+//     durability points (the EndCommand flush boundary, the end of a
+//     staged drain window, bulk load, repair) and, unpooled only,
+//     between SHIFT's DEST and SOURCE writes and between
+//     redistribution's pack and spread passes, where it orders device
+//     writes against power loss (docs/STORAGE.md). A pooled command
+//     therefore pays one barrier, at its end;
 //   - ReadPage loads a page image, verifying integrity (CRC32C for the
 //     file backend); a torn or corrupt page surfaces as a typed kIoError
 //     that CheckAndRepair quarantines.

@@ -85,6 +85,30 @@ TEST_F(BufferPoolTest, HitsServeFromResidentFrames) {
   EXPECT_EQ(file_.stats().page_writes, 0);
 }
 
+// Find is Read's point probe: the same frame fill and accounting, with
+// one record copied out instead of the page.
+TEST_F(BufferPoolTest, FindChargesLikeReadAndCopiesOneRecord) {
+  SeedPage(1, 10);
+  auto pool = MakePool(4);
+  Record r{0, 0};
+  StatusOr<bool> found = pool->Find(1, 10, &r);
+  ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(*found);
+  EXPECT_EQ(r.key, 10u);
+  EXPECT_EQ(r.value, 10u);
+  // An absent key is a hit on the frame that finds no record; *out is
+  // left alone.
+  found = pool->Find(1, 11, &r);
+  ASSERT_TRUE(found.ok());
+  EXPECT_FALSE(*found);
+  EXPECT_EQ(r.key, 10u);
+  EXPECT_EQ(pool->stats().misses, 1);
+  EXPECT_EQ(pool->stats().hits, 1);
+  EXPECT_EQ(file_.stats().logical_reads, 2);
+  EXPECT_EQ(file_.stats().page_reads, 1);
+  EXPECT_EQ(pool->Find(65, 10, &r).status().code(), StatusCode::kOutOfRange);
+}
+
 TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
   auto pool = MakePool(4);
   ASSERT_TRUE(Write(*pool, 1, {{7, 70}}).ok());
