@@ -179,18 +179,10 @@ int64_t Calibrator::CountIn(int v, Address lo, Address hi) const {
 
 std::vector<int> Calibrator::PathToLeaf(Address page) const {
   DSF_CHECK(page >= 1 && page <= num_pages_) << "PathToLeaf page " << page;
-  std::vector<int> path;
-  int v = root();
-  for (;;) {
-    path.push_back(v);
-    const Node& n = nodes_[v];
-    if (n.left == kNoNode) break;
-    if (page <= nodes_[n.left].hi) {
-      v = n.left;
-    } else {
-      v = n.right;
-    }
-  }
+  // The leaf's depth sizes the path; parent links fill it leaf first.
+  int v = leaf_of_page_[static_cast<size_t>(page - 1)];
+  std::vector<int> path(static_cast<size_t>(nodes_[v].depth) + 1);
+  for (size_t i = path.size(); i-- > 0; v = nodes_[v].parent) path[i] = v;
   return path;
 }
 

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 #include <utility>
 
@@ -54,11 +55,6 @@ BufferPool::BufferPool(PageFile* file, const Options& options)
 void BufferPool::Touch(Frame& f) { f.ref = true; }
 
 StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
-  if (address < 1 || address > file_->num_pages()) {
-    return Status::OutOfRange("pool address " + std::to_string(address) +
-                              " outside [1," +
-                              std::to_string(file_->num_pages()) + "]");
-  }
   auto it = resident_.find(address);
   if (it != resident_.end()) {
     ++stats_.hits;
@@ -222,7 +218,11 @@ bool BufferPool::TryEpochGet(Key key, Record* out) {
   return false;
 }
 
+// Read, Find and Write refuse an out-of-range address before charging
+// it: a refused request is no access. Everything after the check is
+// charged, an injected device fault included.
 Status BufferPool::Read(Address address, std::vector<Record>* out) {
+  DSF_RETURN_IF_ERROR(file_->CheckAddress(address, "pool"));
   file_->CountLogical(/*is_write=*/false);
   MutexLock lock(mu_);
   StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/true);
@@ -234,6 +234,7 @@ Status BufferPool::Read(Address address, std::vector<Record>* out) {
 }
 
 StatusOr<bool> BufferPool::Find(Address address, Key key, Record* out) {
+  DSF_RETURN_IF_ERROR(file_->CheckAddress(address, "pool"));
   file_->CountLogical(/*is_write=*/false);
   MutexLock lock(mu_);
   StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/true);
@@ -246,6 +247,7 @@ StatusOr<bool> BufferPool::Find(Address address, Key key, Record* out) {
 
 Status BufferPool::Write(Address address, const Record* begin,
                          const Record* end) {
+  DSF_RETURN_IF_ERROR(file_->CheckAddress(address, "pool"));
   file_->CountLogical(/*is_write=*/true);
   MutexLock lock(mu_);
   return Place(address, begin, end, /*free_write=*/false);
@@ -256,6 +258,7 @@ Status BufferPool::MarkFree(Address address) {
   // a clear is a rewrite with empty content, so it rides L under the
   // same rules and cannot overtake the in-cache writes that moved this
   // page's records elsewhere.
+  DSF_RETURN_IF_ERROR(file_->CheckAddress(address, "pool"));
   MutexLock lock(mu_);
   return Place(address, nullptr, nullptr, /*free_write=*/true);
 }
@@ -296,18 +299,23 @@ bool IsSortedSuperset(const Page& page, const Record* begin,
 void BufferPool::AccumulateRemoved(Frame* f, const Record* begin,
                                    const Record* end) {
   if (f->removed_unknown) return;  // already maximally conservative
+  std::vector<Key>& removed = f->removed_keys;
+  const size_t before = removed.size();
   const Record* it = begin;
   for (const Record& old : f->page.records()) {
     while (it != end && it->key < old.key) ++it;
-    if (it == end || !(*it == old)) f->removed_keys.push_back(old.key);
+    if (it == end || !(*it == old)) removed.push_back(old.key);
   }
-  // Appended batches are each ascending but may interleave with earlier
-  // ones; RelocationSafe binary-searches the pending page instead, so
-  // only dedup growth matters — keep the vector sorted and unique.
-  std::sort(f->removed_keys.begin(), f->removed_keys.end());
-  f->removed_keys.erase(
-      std::unique(f->removed_keys.begin(), f->removed_keys.end()),
-      f->removed_keys.end());
+  // The walk appended one strictly ascending run (page keys are unique).
+  // An ascending drain removes above everything removed before, so the
+  // run usually extends the ledger as it stands; otherwise merge it in.
+  if (before == 0 || before == removed.size() ||
+      removed[before - 1] < removed[before]) {
+    return;
+  }
+  const auto middle = removed.begin() + static_cast<std::ptrdiff_t>(before);
+  std::inplace_merge(removed.begin(), middle, removed.end());
+  removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
 }
 
 bool BufferPool::RelocationSafe(const Frame& f) const {
@@ -316,18 +324,26 @@ bool BufferPool::RelocationSafe(const Frame& f) const {
   // removed_unknown case) relying on f flushing first —
   // f must then take the rule-3 prefix flush instead of relocating.
   const std::vector<Record>& pending = f.page.records();
+  const auto by_key = [](const Record& r, Key k) { return r.key < k; };
   for (auto it = std::next(f.dirty_it); it != dirty_order_.end(); ++it) {
     const Frame& g = frames_[static_cast<size_t>(*it)];
     if (g.removed_unknown) return false;
-    for (const Key key : g.removed_keys) {
+    if (pending.empty()) continue;
+    // Only the slice of g's sorted ledger inside f's key range can name
+    // a record of f's page; both sides ascend, so the probe of the
+    // pending image only moves forward.
+    const std::vector<Key>& removed = g.removed_keys;
+    auto key = std::lower_bound(removed.begin(), removed.end(),
+                                pending.front().key);
+    const auto last =
+        std::upper_bound(key, removed.end(), pending.back().key);
+    auto pos = pending.begin();
+    for (; key != last; ++key) {
+      pos = std::lower_bound(pos, pending.end(), *key, by_key);
       // A volatile key was never durability-promised; losing it on a
       // crash is within the recovery contract, so its removal does not
       // pin f's flush position.
-      if (volatile_keys_.count(key) != 0) continue;
-      const auto pos =
-          std::lower_bound(pending.begin(), pending.end(), key,
-                           [](const Record& r, Key k) { return r.key < k; });
-      if (pos != pending.end() && pos->key == key) return false;
+      if (pos->key == *key && volatile_keys_.count(*key) == 0) return false;
     }
   }
   return true;

@@ -281,13 +281,13 @@ class BufferPool {
     // dirty lifetime that began by replacing a device image the pool
     // never read (the first write of a non-resident page); it
     // conservatively blocks relocations past this frame. Both reset
-    // when the frame goes clean.
+    // when the frame goes clean. removed_keys is sorted and unique.
     std::vector<Key> removed_keys;
     bool removed_unknown = false;
   };
 
-  // Returns a frame holding `address`; fills from the device iff `load`
-  // and the page was not resident.
+  // Returns a frame holding `address`, which the caller has range-checked;
+  // fills from the device iff `load` and the page was not resident.
   StatusOr<int64_t> AcquireFrame(Address address, bool load)
       DSF_REQUIRES(mu_);
   // Picks and reclaims a victim frame, flushing the dirty prefix through
@@ -307,14 +307,19 @@ class BufferPool {
   void EnterTail(int64_t frame) DSF_REQUIRES(mu_);
   // True when no dirty frame ordered after `f` in L lists a removed key
   // that f's pending image still holds — the rule-3† safety condition.
-  // Volatile keys are exempt.
+  // Volatile keys are exempt. A later frame with removed_unknown fails
+  // it outright; otherwise only the slice of its ledger inside f's key
+  // range is probed against f's page, with a cursor that moves forward,
+  // and the volatile set is consulted only for a key found there.
   bool RelocationSafe(const Frame& f) const DSF_REQUIRES(mu_);
   // True when flushing `f` at any position loses nothing durable: its
   // ledger is exact and every removed key is volatile.
   bool OrderFree(const Frame& f) const DSF_REQUIRES(mu_);
-  // Appends to f.removed_keys every key of f's pending page that the
-  // replacement [begin, end) drops or rebinds to a new value. No-op
-  // when the frame is already conservatively removed_unknown.
+  // Adds to f.removed_keys every key of f's pending page that the
+  // replacement [begin, end) drops or rebinds to a new value, keeping the
+  // ledger sorted and unique: the new keys form one ascending run, kept
+  // as appended when it starts above the ledger's last key and merged in
+  // otherwise. No-op when the frame is already removed_unknown.
   static void AccumulateRemoved(Frame* f, const Record* begin,
                                 const Record* end);
   // Writes one dirty frame to the device and removes it from L.

@@ -66,47 +66,43 @@ Status PageFile::StorePage(Address address, const Record* begin,
 
 StatusOr<const Page*> PageFile::TryDeviceRead(Address address,
                                               Page* scratch) {
-  if (DSF_PREDICT_FALSE(address < 1 || address > num_pages_)) {
-    return AddressError("read", address);
-  }
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "read"));
   DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/false));
   return LoadPage(address, scratch);
 }
 
 Status PageFile::TryDeviceWrite(Address address, const Record* begin,
                                 const Record* end) {
-  if (DSF_PREDICT_FALSE(address < 1 || address > num_pages_)) {
-    return AddressError("write", address);
-  }
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "write"));
   // An injected write fault returns here, before the device is touched:
   // the simulated page and the backend slot both keep their old content.
   DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/true));
   return StorePage(address, begin, end);
 }
 
+// A refused address is no access: the logical count follows the range
+// check (which the device access repeats).
 StatusOr<const Page*> PageFile::TryRead(Address address, Page* scratch) {
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "read"));
   tracker_.OnLogical(/*is_write=*/false);
   return TryDeviceRead(address, scratch);
 }
 
 Status PageFile::TryWrite(Address address, const Record* begin,
                           const Record* end) {
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "write"));
   tracker_.OnLogical(/*is_write=*/true);
   return TryDeviceWrite(address, begin, end);
 }
 
 StatusOr<const Page*> PageFile::RawRead(Address address, Page* scratch) const {
-  if (address < 1 || address > num_pages_) {
-    return AddressError("raw read", address);
-  }
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "raw read"));
   return LoadPage(address, scratch);
 }
 
 Status PageFile::RawWrite(Address address, const Record* begin,
                           const Record* end) {
-  if (address < 1 || address > num_pages_) {
-    return AddressError("raw write", address);
-  }
+  DSF_RETURN_IF_ERROR(CheckAddress(address, "raw write"));
   return StorePage(address, begin, end);
 }
 

@@ -63,9 +63,10 @@ class PageFile {
   int64_t page_capacity() const { return page_capacity_; }
 
   // Accounted, fallible access. `address` in [1, num_pages] (violations
-  // return OutOfRange, not abort). The access is charged to IoStats and
-  // then checked against the installed FaultPolicy, if any: on an
-  // injected fault nothing is read or written and kIoError is returned.
+  // return OutOfRange, not abort, and charge nothing). The access is
+  // charged to IoStats and then checked against the installed
+  // FaultPolicy, if any: on an injected fault nothing is read or written
+  // and kIoError is returned.
   // A real device error from the backend (EIO, a checksum mismatch)
   // surfaces the same way, after the charge.
   //
@@ -86,8 +87,16 @@ class PageFile {
                         const Record* end);
 
   // Logical-only accounting: records that the algorithm requested a page
-  // access that may be absorbed by a cache.
+  // access that may be absorbed by a cache. Callers range-check first
+  // (CheckAddress), so a refused request is never counted.
   void CountLogical(bool is_write) { tracker_.OnLogical(is_write); }
+
+  // OK when `address` is in [1, num_pages]; otherwise OutOfRange, naming
+  // `op` ("read", "pool", ...). Every accessor checks before it charges.
+  Status CheckAddress(Address address, const char* op) const {
+    if (address >= 1 && address <= num_pages_) return Status::OK();
+    return AddressError(op, address);
+  }
 
   // Unaccounted, fault-immune access (see the header note). RawRead is
   // safe under concurrent shared-lock readers; RawWrite is writer-side.

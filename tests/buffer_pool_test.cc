@@ -102,11 +102,12 @@ TEST_F(BufferPoolTest, FindChargesLikeReadAndCopiesOneRecord) {
   ASSERT_TRUE(found.ok());
   EXPECT_FALSE(*found);
   EXPECT_EQ(r.key, 10u);
+  // A refused address is no access: it charges nothing.
+  EXPECT_EQ(pool->Find(65, 10, &r).status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(pool->stats().misses, 1);
   EXPECT_EQ(pool->stats().hits, 1);
   EXPECT_EQ(file_.stats().logical_reads, 2);
   EXPECT_EQ(file_.stats().page_reads, 1);
-  EXPECT_EQ(pool->Find(65, 10, &r).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(BufferPoolTest, WriteBackIsDeferredUntilFlush) {
@@ -420,6 +421,121 @@ TEST_F(BufferPoolTest, VolatileKeyLiftsRelocationConstraint) {
   EXPECT_TRUE(PeekPage(file_, 2).empty());
 }
 
+// --- Rule 3† against multi-key removal ledgers ---
+
+// One record key=value=k per key.
+std::vector<Record> Image(const std::vector<Key>& keys) {
+  std::vector<Record> records;
+  for (const Key k : keys) records.push_back(Record{k, k});
+  return records;
+}
+
+// Seeds a device page directly (unaccounted), records key=value=k.
+void SeedKeys(PageFile& file, Address address, const std::vector<Key>& keys) {
+  const std::vector<Record> records = Image(keys);
+  EXPECT_TRUE(
+      file.RawWrite(address, records.data(), records.data() + records.size())
+          .ok());
+}
+
+// Each case builds the same L: page 3 (f) goes resident empty and is
+// written `f_pending`, a pure addition; then page 2 (g), seeded with
+// `g_keys`, goes resident and is written empty, so g sits after f in L
+// with exactly `g_keys` in its ledger. Rewriting f to `f_final` (which
+// removes records, so rule 2' cannot absorb it) then relocates f only
+// if no non-volatile key of g's ledger is on f's pending page. Returns
+// the device writes the rewrite cost.
+int64_t RewriteAheadOfRemoval(PageFile& file, BufferPool& pool,
+                              const std::vector<Key>& f_pending,
+                              const std::vector<Key>& g_keys,
+                              const std::vector<Key>& f_final) {
+  SeedKeys(file, 2, g_keys);
+  std::vector<Record> out;
+  EXPECT_TRUE(pool.Read(3, &out).ok());
+  EXPECT_TRUE(pool.Read(2, &out).ok());
+  EXPECT_TRUE(Write(pool, 3, Image(f_pending)).ok());
+  EXPECT_TRUE(Write(pool, 2, {}).ok());
+  const IoStats before = file.stats();
+  EXPECT_TRUE(Write(pool, 3, Image(f_final)).ok());
+  return (file.stats() - before).page_writes;
+}
+
+TEST_F(BufferPoolTest, BlockingKeyInTheMiddleOfALaterLedgerForcesRule3) {
+  auto pool = MakePool(4);
+  // g's ledger {15, 20, 25} lies inside f's range; only 20 is on f.
+  EXPECT_EQ(RewriteAheadOfRemoval(file_, *pool, {10, 20, 30}, {15, 20, 25},
+                                  {10, 30}),
+            1);
+  EXPECT_EQ(pool->stats().relocations, 0);
+  EXPECT_EQ(pool->stats().ordered_flushes, 1);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 3);  // f's old image landed first
+}
+
+TEST_F(BufferPoolTest, BlockingKeyAtEitherEndOfThePendingPageForcesRule3) {
+  // The ledger slice is cut at f's first and last keys, inclusive.
+  struct Case {
+    const char* name;
+    std::vector<Key> g_keys;
+    std::vector<Key> f_final;
+  };
+  for (const Case& c : {Case{"f's first key", {5, 10}, {20, 30}},
+                        Case{"f's last key", {30, 35}, {10, 20}}}) {
+    SCOPED_TRACE(c.name);
+    PageFile file(/*num_pages=*/64, /*page_capacity=*/8);
+    BufferPool pool(&file, {.num_frames = 4});
+    EXPECT_EQ(
+        RewriteAheadOfRemoval(file, pool, {10, 20, 30}, c.g_keys, c.f_final),
+        1);
+    EXPECT_EQ(pool.stats().relocations, 0);
+    EXPECT_EQ(pool.stats().ordered_flushes, 1);
+  }
+}
+
+TEST_F(BufferPoolTest, LaterLedgerInsideTheKeyRangeButOffThePageRelocates) {
+  auto pool = MakePool(4);
+  // 20 and 40 fall between f's keys but are not f's records.
+  EXPECT_EQ(
+      RewriteAheadOfRemoval(file_, *pool, {10, 30, 50}, {20, 40}, {10, 30}),
+      0);
+  EXPECT_EQ(pool->stats().relocations, 1);
+  EXPECT_EQ(pool->stats().ordered_flushes, 0);
+  ASSERT_TRUE(pool->FlushAll().ok());
+  EXPECT_EQ(PeekPage(file_, 3).size(), 2);
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
+}
+
+TEST_F(BufferPoolTest, VolatileOnlyOverlapInAMultiKeyLedgerRelocates) {
+  auto pool = MakePool(4);
+  pool->NoteVolatile(20);
+  EXPECT_EQ(RewriteAheadOfRemoval(file_, *pool, {10, 20, 30}, {15, 20, 25},
+                                  {10, 30}),
+            0);
+  EXPECT_EQ(pool->stats().relocations, 1);
+  EXPECT_EQ(pool->stats().ordered_flushes, 0);
+}
+
+TEST_F(BufferPoolTest, LedgerMergesARemovalRunBelowAnEarlierOne) {
+  // Page 2 removes key 40 (which page 3 duplicated first), then, as the
+  // tail, key 10: the second run lies below the first and is merged in,
+  // so 40 still pins page 3's pending image when page 3 drops 40 again.
+  SeedKeys(file_, 2, {10, 40});
+  auto pool = MakePool(4);
+  std::vector<Record> out;
+  ASSERT_TRUE(pool->Read(3, &out).ok());
+  ASSERT_TRUE(pool->Read(2, &out).ok());
+  ASSERT_TRUE(Write(*pool, 3, {{40, 40}}).ok());
+  ASSERT_TRUE(Write(*pool, 2, {{10, 10}}).ok());
+  ASSERT_TRUE(Write(*pool, 2, {}).ok());
+  EXPECT_EQ(pool->stats().write_combines, 1);
+  const IoStats before = file_.stats();
+  ASSERT_TRUE(Write(*pool, 3, {}).ok());
+  EXPECT_EQ(pool->stats().relocations, 0);
+  EXPECT_EQ(pool->stats().ordered_flushes, 1);
+  EXPECT_EQ((file_.stats() - before).page_writes, 1);
+  ASSERT_EQ(PeekPage(file_, 3).size(), 1);  // 40 is durable before page 2
+  EXPECT_EQ(PeekPage(file_, 3).MinKey(), 40);
+}
+
 TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
   // Three adjacent pages dirtied out of address order, all pure
   // additions: the safe-order scheduler sorts them into one sequential
@@ -466,7 +582,11 @@ TEST_F(BufferPoolTest, OutOfRangeAddressRejected) {
   EXPECT_EQ(pool->Read(0, &out).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(pool->Read(65, &out).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Write(*pool, 65, {{1, 1}}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(pool->MarkFree(0).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(pool->resident_pages(), 0);
+  // The address is checked before the access is counted.
+  EXPECT_EQ(file_.stats().logical_reads, 0);
+  EXPECT_EQ(file_.stats().logical_writes, 0);
 }
 
 TEST_F(BufferPoolTest, TryEpochGetServesResidentFrames) {

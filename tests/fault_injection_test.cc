@@ -139,6 +139,11 @@ TEST(PageFileFaults, BadAddressIsOutOfRangeNotAbort) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(file.RawWrite(0, nullptr, nullptr).code(),
             StatusCode::kOutOfRange);
+  // A refused address is no access: neither counter moves.
+  EXPECT_EQ(file.stats().logical_reads, 0);
+  EXPECT_EQ(file.stats().logical_writes, 0);
+  EXPECT_EQ(file.stats().page_reads, 0);
+  EXPECT_EQ(file.stats().page_writes, 0);
 }
 
 TEST(PageFileFaults, RawReadAndRawWriteAreFaultImmune) {
