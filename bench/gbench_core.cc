@@ -149,52 +149,6 @@ void BM_DenseFileScan(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseFileScan)->Arg(100)->Arg(4000);
 
-// The pre-sorted batch fast path against the general batch path. Both
-// ingest the same absent odd keys; InsertBatch pays a defensive copy,
-// sort, and duplicate validation that InsertBatchSorted skips.
-void BM_InsertBatch(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  std::unique_ptr<DenseFile> file =
-      std::move(*DenseFile::Create(FileOptions(4096)));
-  DSF_CHECK(
-      file->BulkLoad(MakeAscendingRecords(file->capacity() / 2, 2, 2)).ok());
-  std::vector<Record> records;
-  for (int64_t i = 0; i < batch; ++i) {
-    records.push_back(
-        Record{static_cast<Key>(2 * i + 1), static_cast<Value>(i)});
-  }
-  for (auto _ : state) {
-    DSF_CHECK(file->InsertBatch(records).ok());
-    state.PauseTiming();
-    for (const Record& r : records) DSF_CHECK(file->Delete(r.key).ok());
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_InsertBatch)->Arg(64)->Arg(512);
-
-void BM_InsertBatchSorted(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  std::unique_ptr<DenseFile> file =
-      std::move(*DenseFile::Create(FileOptions(4096)));
-  DSF_CHECK(
-      file->BulkLoad(MakeAscendingRecords(file->capacity() / 2, 2, 2)).ok());
-  std::vector<Record> records;
-  for (int64_t i = 0; i < batch; ++i) {
-    records.push_back(
-        Record{static_cast<Key>(2 * i + 1), static_cast<Value>(i)});
-  }
-  for (auto _ : state) {
-    DSF_CHECK(
-        file->InsertBatchSorted(records.data(), records.data() + batch).ok());
-    state.PauseTiming();
-    for (const Record& r : records) DSF_CHECK(file->Delete(r.key).ok());
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_InsertBatchSorted)->Arg(64)->Arg(512);
-
 void BM_BTreeInsertDelete(benchmark::State& state) {
   BTree::Options options;
   options.leaf_capacity = 41;

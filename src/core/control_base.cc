@@ -453,29 +453,6 @@ StatusOr<int64_t> ControlBase::DeleteRange(Key lo, Key hi) {
   return removed;
 }
 
-Status ControlBase::InsertBatch(const std::vector<Record>& records) {
-  for (size_t i = 1; i < records.size(); ++i) {
-    if (records[i - 1].key >= records[i].key) {
-      return Status::InvalidArgument(
-          "batch records must be strictly ascending by key");
-    }
-  }
-  return InsertBatchSorted(records.data(), records.data() + records.size());
-}
-
-Status ControlBase::InsertBatchSorted(const Record* begin, const Record* end) {
-  if (size() + (end - begin) > MaxRecords()) {
-    return Status::CapacityExceeded("batch would exceed N = d*M records");
-  }
-  for (const Record* r = begin; r != end; ++r) {
-    DSF_DCHECK(r == begin || (r - 1)->key < r->key)
-        << "InsertBatchSorted caller broke the ascending contract at key "
-        << r->key;
-    DSF_RETURN_IF_ERROR(Insert(*r));
-  }
-  return Status::OK();
-}
-
 Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
   DSF_DCHECK(lo >= 1 && hi <= num_blocks_ && lo <= hi)
       << "redistribution range [" << lo << "," << hi << "] invalid";

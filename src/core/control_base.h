@@ -130,18 +130,6 @@ class ControlBase {
   // (range commands are outside the paper's per-command bound).
   StatusOr<int64_t> DeleteRange(Key lo, Key hi);
 
-  // Inserts a batch of strictly-ascending records one command at a time
-  // (each insert keeps the worst-case bound). Stops at the first error.
-  Status InsertBatch(const std::vector<Record>& records);
-
-  // Trusted fast path of InsertBatch: the caller guarantees [begin, end)
-  // is strictly ascending and duplicate-free (DCHECKed, not validated),
-  // so the O(n) pre-scan and any defensive slice copy are skipped. Takes
-  // a raw pointer range so callers holding a larger sorted buffer (the
-  // staging drain, ShardedDenseFile's per-shard slices) pass a window of
-  // it without materializing a vector.
-  Status InsertBatchSorted(const Record* begin, const Record* end);
-
   // Rewrites the whole file at uniform density, with accounted I/O — an
   // explicit O(M) reorganization restoring Theorem 5.5's initial
   // condition: insert headroom spread evenly, so no region is primed to

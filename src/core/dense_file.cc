@@ -616,16 +616,6 @@ StatusOr<int64_t> DenseFile::DeleteRange(Key lo, Key hi) {
   return *n + staged_inserts - staged_tombstones;
 }
 
-Status DenseFile::InsertBatch(const std::vector<Record>& records) {
-  if (staging_ != nullptr) DSF_RETURN_IF_ERROR(FlushStagingInternal());
-  return MaybeAudit(control_->InsertBatch(records));
-}
-
-Status DenseFile::InsertBatchSorted(const Record* begin, const Record* end) {
-  if (staging_ != nullptr) DSF_RETURN_IF_ERROR(FlushStagingInternal());
-  return MaybeAudit(control_->InsertBatchSorted(begin, end));
-}
-
 Status DenseFile::Compact() { return MaybeAudit(control_->Compact()); }
 
 Status DenseFile::BulkLoad(const std::vector<Record>& records) {

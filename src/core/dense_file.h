@@ -185,15 +185,6 @@ class DenseFile {
   // visible in the merged view (staged inserts in range die in place,
   // staged tombstones were already hidden).
   StatusOr<int64_t> DeleteRange(Key lo, Key hi);
-  // Inserts strictly-ascending records one command at a time. Batch paths
-  // drain the staging buffer first so duplicate/capacity checks run
-  // against the full merged state.
-  Status InsertBatch(const std::vector<Record>& records);
-  // Trusted fast path: records in [begin, end) must be strictly
-  // ascending and duplicate-free (DCHECKed only) — skips InsertBatch's
-  // O(n) validation and lets callers pass a window of a larger buffer
-  // without a defensive copy. See ControlBase::InsertBatchSorted.
-  Status InsertBatchSorted(const Record* begin, const Record* end);
   // Explicit O(M) reorganization to uniform density — Theorem 5.5's
   // initial condition, restoring even insert headroom after skew.
   Status Compact();
@@ -302,7 +293,10 @@ class DenseFile {
   // --- Fault injection & recovery ---
   // Installs (or clears) a deterministic fault schedule on the page store;
   // see storage/fault_injection.h. After any command errors with IoError,
-  // run CheckAndRepair() before issuing further commands.
+  // run CheckAndRepair() before issuing further commands. A failed sync
+  // barrier (fdatasync) is the exception: the file then refuses every
+  // write and barrier, CheckAndRepair's included, and only a reopen
+  // through Open() recovers it (PageFile::SyncBarrier).
   void set_fault_policy(std::shared_ptr<FaultPolicy> policy) {
     control_->file().set_fault_policy(std::move(policy));
   }

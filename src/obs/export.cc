@@ -10,7 +10,7 @@ namespace dsf {
 namespace {
 
 // Splits a rendered metric key into (bare name, label body):
-// `dsf_replay_op_ns{thread="3"}` -> ("dsf_replay_op_ns", `thread="3"`).
+// `dsf_command_accesses{shard="3"}` -> ("dsf_command_accesses", `shard="3"`).
 void SplitKey(const std::string& key, std::string* name,
               std::string* label) {
   const size_t brace = key.find('{');
@@ -40,7 +40,7 @@ std::string HistogramSeries(const std::string& name,
   return out;
 }
 
-// Labelled metric names carry literal quotes (`name{thread="0"}`), which
+// Labelled metric names carry literal quotes (`name{shard="0"}`), which
 // must be escaped when the name becomes a JSON object key.
 std::string JsonEscape(const std::string& s) {
   std::string out;

@@ -10,7 +10,7 @@
 //
 // Naming convention (Prometheus style): `dsf_` prefix, `_total` suffix
 // for monotonic counters, no suffix for gauges and histograms. Per-shard
-// and per-thread instances reuse one name and differ by label
+// instances reuse one name and differ by label
 // (`dsf_shard_records{shard="3"}`), so the catalog stays closed under
 // scaling.
 
@@ -66,10 +66,6 @@ inline constexpr char kMetricReadLockEpochFallbacks[] =
 inline constexpr char kMetricShardRecords[] = "dsf_shard_records";
 // Gauge: 1000 * (most loaded shard / mean shard load); 1000 = balanced.
 inline constexpr char kMetricShardImbalance[] = "dsf_shard_imbalance_x1000";
-
-// --- Workload replay (workload/parallel_replayer.cc) ---
-// Histogram, per-thread label: wall-clock latency per operation, ns.
-inline constexpr char kMetricReplayOpNs[] = "dsf_replay_op_ns";
 
 // --- Ingest staging (core/dense_file.cc; see docs/INGEST.md) ---
 // Mutations absorbed into the staging memtable (inserts, updates,

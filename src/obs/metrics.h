@@ -12,7 +12,7 @@
 //      (tests/obs_test.cc pins this).
 //
 //   2. Thread-sharded hot path. A counter or histogram may be hit from
-//      every replay thread at once (workload/parallel_replayer.h). Each
+//      every client thread of a ShardedDenseFile at once. Each
 //      metric is striped over kStripesPerMetric cache-line-aligned slots;
 //      a thread picks its stripe once (thread-local, round-robin
 //      assignment) and then only ever does relaxed atomic adds on its
@@ -32,8 +32,8 @@
 //
 // Handles are created once (FindOrCreate* under the registry mutex,
 // typically at file-open) and live as long as the registry; the hot path
-// never touches the registry again. Labels distinguish per-shard /
-// per-thread instances of one catalog name (src/obs/metric_names.h):
+// never touches the registry again. Labels distinguish per-shard
+// instances of one catalog name (src/obs/metric_names.h):
 // FindOrCreateCounter(kMetricShardRecords, "shard=\"3\"").
 
 #ifndef DSF_OBS_METRICS_H_

@@ -419,40 +419,6 @@ StatusOr<int64_t> ShardedDenseFile::DeleteRange(Key lo, Key hi) {
   return removed;
 }
 
-Status ShardedDenseFile::InsertBatch(const std::vector<Record>& records) {
-  for (size_t i = 1; i < records.size(); ++i) {
-    if (records[i - 1].key >= records[i].key) {
-      return Status::InvalidArgument(
-          "batch records must be strictly ascending by key");
-    }
-  }
-  // Ascending records route to ascending shards: each shard's share is a
-  // contiguous slice ending where keys reach its upper bound.
-  size_t begin = 0;
-  for (int i = 0; i < num_shards() && begin < records.size(); ++i) {
-    size_t end = records.size();
-    if (i < num_shards() - 1) {
-      end = static_cast<size_t>(
-          std::lower_bound(records.begin() + static_cast<int64_t>(begin),
-                           records.end(), Record{ShardUpperBound(i), 0},
-                           RecordKeyLess) -
-          records.begin());
-    }
-    if (end > begin) {
-      // Ascent was validated once above, so each shard takes its slice
-      // through the sorted fast path — a pointer range straight into the
-      // caller's vector, no defensive copy and no re-validation.
-      Shard& shard = *shards_[static_cast<size_t>(i)];
-      WriterMutexLock lock(shard.mu);
-      DSF_RETURN_IF_ERROR(
-          shard.file->InsertBatchSorted(records.data() + begin,
-                                        records.data() + end));
-    }
-    begin = end;
-  }
-  return Status::OK();
-}
-
 Status ShardedDenseFile::BulkLoad(const std::vector<Record>& records) {
   for (size_t i = 1; i < records.size(); ++i) {
     if (records[i - 1].key >= records[i].key) {

@@ -109,9 +109,6 @@ class ShardedDenseFile {
   Status Scan(Key lo, Key hi, std::vector<Record>* out) const;
   StatusOr<std::vector<Record>> ScanAll() const;
   StatusOr<int64_t> DeleteRange(Key lo, Key hi);
-  // Strictly-ascending records, routed per shard, inserted one command at
-  // a time. Stops at the first error.
-  Status InsertBatch(const std::vector<Record>& records);
   // Loads strictly-ascending records; each shard receives its slice at
   // uniform density. Splitters are fixed — records route by them, so a
   // slice can exceed one shard's capacity if the splitters fit the data

@@ -10,6 +10,16 @@
 
 namespace dsf {
 
+namespace {
+
+// What every write and barrier returns once a barrier has failed.
+Status SyncFailedError() {
+  return Status::IoError(
+      "a sync barrier failed; writes are refused until the file is reopened");
+}
+
+}  // namespace
+
 PageFile::PageFile(int64_t num_pages, int64_t page_capacity)
     : num_pages_(num_pages), page_capacity_(page_capacity) {
   DSF_CHECK(num_pages >= 1) << "PageFile needs at least one page";
@@ -55,6 +65,9 @@ Status PageFile::StorePage(Address address, const Record* begin,
     page.AppendHigh(begin, end);
     return Status::OK();
   }
+  // After a failed barrier nothing more may reach the device (see
+  // SyncBarrier in the header).
+  if (DSF_PREDICT_FALSE(sync_failed_)) return SyncFailedError();
   // The caller's content is final, so the device write happens before
   // return and device order is call order.
   write_page_.Clear();
@@ -127,8 +140,13 @@ Status PageFile::AttachBackend(std::unique_ptr<StorageBackend> backend) {
 }
 
 Status PageFile::SyncBarrier() {
+  if (sync_failed_) return SyncFailedError();
   if (backend_ == nullptr || !dirty_since_sync_) return Status::OK();
-  DSF_RETURN_IF_ERROR(backend_->SyncBarrier());
+  const Status sync = backend_->SyncBarrier();
+  if (!sync.ok()) {
+    sync_failed_ = true;
+    return sync;
+  }
   dirty_since_sync_ = false;
   return Status::OK();
 }

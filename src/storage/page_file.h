@@ -125,6 +125,14 @@ class PageFile {
   // backend). No-op without a backend. ControlBase invokes this exactly
   // at the points the crash-ordering argument assumes durability
   // (docs/STORAGE.md).
+  //
+  // A failed barrier is latched. The kernel may have dropped the dirty
+  // pages it could not write back, so a retried fdatasync can return 0
+  // for data that is gone. The failing call returns the backend's error;
+  // from then on every barrier and every backend write (TryWrite,
+  // TryDeviceWrite, RawWrite) returns kIoError, and reads keep working.
+  // Only a reopen, which builds a new PageFile over the device, clears
+  // it.
   Status SyncBarrier();
 
   // Counter snapshot, by value: the tracker's counters are atomics so
@@ -162,6 +170,8 @@ class PageFile {
   // buffer serves them all.
   Page write_page_;
   bool dirty_since_sync_ = false;
+  // Set by the first failed SyncBarrier (see SyncBarrier).
+  bool sync_failed_ = false;
 };
 
 }  // namespace dsf

@@ -1,7 +1,7 @@
 // Clang thread-safety annotations and an annotated mutex wrapper.
 //
 // The locking discipline of the concurrent layers (one mutex per shard in
-// ShardedDenseFile, worker-owned counters in ParallelReplayer) is enforced
+// ShardedDenseFile, one per buffer pool and metrics registry) is enforced
 // at compile time by Clang's -Wthread-safety analysis. Under GCC, or under
 // Clang without the capability attributes, every macro expands to nothing
 // and dsf::Mutex degrades to a plain std::mutex wrapper with identical

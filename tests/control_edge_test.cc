@@ -1,13 +1,8 @@
-// Edge-case coverage for ControlBase's range/bulk commands:
-//
-//   * InsertBatch error paths — non-ascending input, a batch that would
-//     exceed capacity (rejected up front, file untouched), and a
-//     mid-batch failure (duplicate key), after which the already-applied
-//     prefix must stand and every invariant must still hold;
-//   * DeleteRange spanning empty leading/trailing blocks — a deliberately
-//     clustered layout leaves most blocks empty, and ranges reaching far
-//     past the populated region on both sides must still delete exactly
-//     the stored keys in range.
+// Edge-case coverage for ControlBase's range commands: DeleteRange
+// spanning empty leading/trailing blocks — a deliberately clustered
+// layout leaves most blocks empty, and ranges reaching far past the
+// populated region on both sides must still delete exactly the stored
+// keys in range.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +11,6 @@
 #include <vector>
 
 #include "core/dense_file.h"
-#include "workload/workload.h"
 
 namespace dsf {
 namespace {
@@ -29,60 +23,6 @@ std::unique_ptr<DenseFile> MakeFile(int64_t num_pages = 64) {
   StatusOr<std::unique_ptr<DenseFile>> file = DenseFile::Create(options);
   EXPECT_TRUE(file.ok()) << file.status();
   return std::move(*file);
-}
-
-TEST(InsertBatchEdgeTest, RejectsNonAscendingBatchUntouched) {
-  std::unique_ptr<DenseFile> file = MakeFile();
-  ASSERT_TRUE(file->Insert(500, 500).ok());
-
-  // Strictly ascending is required: equal keys and descending pairs both
-  // fail, and nothing from the batch may have been applied.
-  EXPECT_TRUE(
-      file->InsertBatch({{10, 1}, {10, 2}, {30, 3}}).IsInvalidArgument());
-  EXPECT_TRUE(
-      file->InsertBatch({{40, 1}, {20, 2}, {60, 3}}).IsInvalidArgument());
-  EXPECT_EQ(file->size(), 1);
-  EXPECT_FALSE(file->Contains(10));
-  EXPECT_FALSE(file->Contains(40));
-  EXPECT_TRUE(file->ValidateInvariants().ok());
-}
-
-TEST(InsertBatchEdgeTest, RejectsOverCapacityBatchUpFront) {
-  std::unique_ptr<DenseFile> file = MakeFile();
-  const int64_t capacity = file->capacity();
-  ASSERT_TRUE(
-      file->BulkLoad(MakeAscendingRecords(capacity - 2, 1000, 10)).ok());
-
-  // Three more records would exceed N = d*M; the check fires before any
-  // insert, so the file is untouched.
-  const Status status = file->InsertBatch({{1, 1}, {2, 2}, {3, 3}});
-  EXPECT_TRUE(status.IsCapacityExceeded());
-  EXPECT_EQ(file->size(), capacity - 2);
-  EXPECT_FALSE(file->Contains(1));
-  EXPECT_TRUE(file->ValidateInvariants().ok());
-
-  // A batch that exactly fills the file is fine.
-  EXPECT_TRUE(file->InsertBatch({{1, 1}, {2, 2}}).ok());
-  EXPECT_EQ(file->size(), capacity);
-}
-
-TEST(InsertBatchEdgeTest, MidBatchFailureLeavesConsistentPrefix) {
-  std::unique_ptr<DenseFile> file = MakeFile();
-  ASSERT_TRUE(file->Insert(30, 300).ok());
-
-  // The batch trips over the preexisting key 30 after two successful
-  // inserts. The prefix stays applied; the suffix is never attempted.
-  const Status status =
-      file->InsertBatch({{10, 1}, {20, 2}, {30, 3}, {40, 4}});
-  EXPECT_TRUE(status.IsAlreadyExists());
-  EXPECT_TRUE(file->Contains(10));
-  EXPECT_TRUE(file->Contains(20));
-  EXPECT_FALSE(file->Contains(40));
-  StatusOr<Value> kept = file->Get(30);
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(*kept, 300u);  // original record untouched
-  EXPECT_EQ(file->size(), 3);
-  EXPECT_TRUE(file->ValidateInvariants().ok());
 }
 
 // Builds a file whose records sit in a narrow band of middle blocks, with

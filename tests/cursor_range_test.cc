@@ -1,4 +1,4 @@
-// Tests for the Cursor streaming API, DeleteRange/InsertBatch, and
+// Tests for the Cursor streaming API, DeleteRange, and
 // Compact/ScanEfficiency — across maintenance policies.
 
 #include <gtest/gtest.h>
@@ -181,22 +181,6 @@ TEST_P(RangeOpsTest, DeleteRangeThenKeepOperating) {
     ASSERT_TRUE(f->Insert(k, k).ok());
     ASSERT_TRUE(f->ValidateInvariants().ok());
   }
-}
-
-TEST_P(RangeOpsTest, InsertBatchValidatesAndInserts) {
-  std::unique_ptr<DenseFile> f = Make(GetParam());
-  EXPECT_TRUE(
-      f->InsertBatch({Record{3, 0}, Record{2, 0}}).IsInvalidArgument());
-  EXPECT_TRUE(f->InsertBatch(MakeAscendingRecords(f->capacity() + 1))
-                  .IsCapacityExceeded());
-  ASSERT_TRUE(f->InsertBatch(MakeAscendingRecords(100, 7, 7)).ok());
-  EXPECT_EQ(f->size(), 100);
-  // A batch overlapping an existing key stops at the duplicate.
-  EXPECT_TRUE(
-      f->InsertBatch({Record{1, 0}, Record{7, 0}, Record{9, 0}})
-          .IsAlreadyExists());
-  EXPECT_TRUE(f->Contains(1));  // the prefix before the dup went in
-  EXPECT_TRUE(f->ValidateInvariants().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -72,6 +72,23 @@ TEST(DsflintFixtures, LockCyclePinned) {
   EXPECT_EQ(report.findings[0].line, 24);
 }
 
+// Only the seeded cycle is found: the container call and the class's
+// own size() under log_mu resolve to no lock (see the fixture).
+TEST(DsflintFixtures, CallResolutionFindsOnlyTheRealCycle) {
+  Analyzer analyzer(FixtureOptions());
+  const std::string path = FixturePath("call_resolution.cc");
+  analyzer.AddFile(path, ReadFile(path));
+  const LintReport report = analyzer.Run();
+  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.findings[0].kind, RuleKind::kLockCycle);
+  EXPECT_EQ(report.findings[0].line, 34);
+  EXPECT_EQ(analyzer.DumpLockGraph(),
+            "Log::log_mu -> Table::table_mu  [via call Lookup()]  (" + path +
+                ":50)\n"
+                "Table::table_mu -> Log::log_mu  [via call Append()]  (" +
+                path + ":34)\n");
+}
+
 TEST(DsflintFixtures, DiscardedStatusPinned) {
   const LintReport report =
       RunOnFixtures(FixtureOptions(), {"discarded_status.cc"});
@@ -194,6 +211,35 @@ TEST(DsflintRepo, TreeLintsClean) {
   ASSERT_GT(added, 50);
   const LintReport report = analyzer.Run();
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// Every default rule scope names a path that exists. A scope left behind
+// by a deleted directory matches no file, and its rule silently checks
+// nothing. A scope is a path prefix: "src/core/" names a directory,
+// "src/util/temp_dir" the files in src/util/ whose names start with
+// temp_dir.
+TEST(DsflintRepo, ConfiguredScopesExist) {
+  const fs::path root = DSF_REPO_ROOT;
+  const AnalyzerOptions defaults;
+  for (const std::vector<std::string>* scopes :
+       {&defaults.strict_dirs, &defaults.raw_page_dirs,
+        &defaults.raw_syscall_dirs, &defaults.fault_dirs,
+        &defaults.naked_mutex_exempt_dirs, &defaults.metric_free_dirs}) {
+    for (const std::string& scope : *scopes) {
+      const size_t cut = scope.rfind('/') + 1;  // 0 when there is no '/'
+      const fs::path parent = root / scope.substr(0, cut);
+      const std::string stem = scope.substr(cut);
+      bool found = false;
+      if (fs::is_directory(parent)) {
+        for (const fs::directory_entry& entry :
+             fs::directory_iterator(parent)) {
+          found = found || entry.path().filename().string().rfind(stem, 0) == 0;
+        }
+      }
+      EXPECT_TRUE(found) << "scope " << scope << " matches nothing under "
+                         << root;
+    }
+  }
 }
 
 }  // namespace

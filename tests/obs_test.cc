@@ -22,7 +22,6 @@
 #include "shard/sharded_dense_file.h"
 #include "storage/io_stats.h"
 #include "util/random.h"
-#include "workload/parallel_replayer.h"
 #include "workload/workload.h"
 
 namespace dsf {
@@ -307,7 +306,7 @@ TEST(ExportTest, JsonSnapshotFormat) {
   MetricsRegistry registry;
   registry.FindOrCreateCounter(kMetricCommands)->Increment(7);
   registry.FindOrCreateGauge(kMetricShardImbalance)->Set(1000);
-  registry.FindOrCreateHistogram(kMetricReplayOpNs, "thread=\"0\"")
+  registry.FindOrCreateHistogram(kMetricCommandAccesses, "shard=\"0\"")
       ->Observe(5);
   const std::string json = ToJsonSnapshot(registry.Snapshot());
 
@@ -319,7 +318,7 @@ TEST(ExportTest, JsonSnapshotFormat) {
       << json;
   // Histogram keyed by its rendered (labelled) name; buckets keyed by
   // inclusive upper edge (5 lands in [4, 8), edge 7).
-  EXPECT_NE(json.find("\"dsf_replay_op_ns{thread=\\\"0\\\"}\""),
+  EXPECT_NE(json.find("\"dsf_command_accesses{shard=\\\"0\\\"}\""),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"buckets\":{\"7\":1}"), std::string::npos) << json;
@@ -564,47 +563,6 @@ TEST(ObsWiringTest, ShardMetricsPublishPerShardSeries) {
   // 1000 = perfectly balanced; the uniform ascending load is close.
   EXPECT_GE(imbalance, 1000);
   EXPECT_LT(imbalance, 1500);
-}
-
-TEST(ObsWiringTest, ReplayerRecordsPerThreadLatencies) {
-  MetricsRegistry registry;
-  ShardedDenseFile::Options options;
-  options.num_shards = 2;
-  options.key_space = 2000;
-  options.shard.num_pages = 64;
-  options.shard.d = 8;
-  options.shard.D = 36;
-  auto file = ShardedDenseFile::Create(options);
-  ASSERT_TRUE(file.ok());
-
-  constexpr int kThreads = 2;
-  constexpr int64_t kOpsPerThread = 200;
-  const std::vector<Trace> traces = ParallelReplayer::DisjointUniformMixes(
-      kThreads, kOpsPerThread, /*insert_fraction=*/0.5,
-      /*delete_fraction=*/0.2, /*scan_fraction=*/0.1, /*key_space=*/2000,
-      /*scan_span=*/16, /*seed=*/42);
-  ParallelReplayer::Options replay_options;
-  replay_options.num_threads = kThreads;
-  replay_options.metrics = &registry;
-  ParallelReplayer replayer(replay_options);
-  const ReplayResult result = replayer.Replay(**file, traces);
-  ASSERT_TRUE(result.ok()) << result.first_unexpected_error.ToString();
-
-  // One histogram series per thread, each holding exactly that thread's
-  // op count.
-  for (int t = 0; t < kThreads; ++t) {
-    Histogram* h = registry.FindOrCreateHistogram(
-        kMetricReplayOpNs, "thread=\"" + std::to_string(t) + "\"");
-    EXPECT_EQ(h->TotalCount(), kOpsPerThread) << "thread " << t;
-  }
-
-  // The replay's IoStats delta keeps the logical/physical split intact:
-  // with no buffer pool every logical access reached the device.
-  EXPECT_GT(result.io.TotalLogical(), 0);
-  EXPECT_EQ(result.io.TotalLogical(), result.io.TotalAccesses());
-  EXPECT_GT(result.LogicalAccessesPerOp(), 0.0);
-  EXPECT_DOUBLE_EQ(result.LogicalAccessesPerOp(),
-                   result.PhysicalAccessesPerOp());
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // ShardedDenseFile tests: routing, splitter learning, cross-shard
 // stitching, and the concurrent differential storm — T threads of mixed
-// insert/delete/get/scan traffic through ParallelReplayer, cross-checked
-// against the single-threaded ReferenceModel. Thread key sets are
-// disjoint (keys congruent to t mod T), so the final contents are
-// independent of the interleaving and a serial replay of the same traces
-// is an exact oracle; every shard's invariant battery and the exactness
-// of stats aggregation are validated after the storm.
+// insert/delete/get/scan traffic, cross-checked against the
+// single-threaded ReferenceModel. Thread key sets are disjoint (keys
+// congruent to t mod T, or one contiguous slice per thread), so the final
+// contents are independent of the interleaving and a serial replay of the
+// same traces is an exact oracle; every shard's invariant battery and the
+// exactness of stats aggregation are validated after the storm.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +30,6 @@
 #include "storage/storage_backend.h"
 #include "util/deadlock.h"
 #include "util/temp_dir.h"
-#include "workload/parallel_replayer.h"
 #include "workload/reference_model.h"
 #include "workload/workload.h"
 
@@ -324,20 +326,6 @@ TEST(ShardedDenseFileTest, DeleteRangeIsAtomicAgainstConcurrentScan) {
   EXPECT_EQ(file->size(), 0);
 }
 
-TEST(ShardedDenseFileTest, InsertBatchRoutesAcrossShards) {
-  std::unique_ptr<ShardedDenseFile> file = MakeFile(SmallOptions(4, 1000));
-  const std::vector<Record> batch = MakeAscendingRecords(100, 5, 10);
-  ASSERT_TRUE(file->InsertBatch(batch).ok());
-  EXPECT_EQ(file->size(), 100);
-  EXPECT_EQ(*file->ScanAll(), batch);
-  // Every shard received its slice.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_GT(file->shard_size(i), 0) << "shard " << i;
-  }
-  EXPECT_TRUE(
-      file->InsertBatch({{9, 9}, {9, 9}}).IsInvalidArgument());
-}
-
 TEST(ShardedDenseFileTest, StatsAggregateBySummation) {
   std::unique_ptr<ShardedDenseFile> file = MakeFile(SmallOptions(4, 1000));
   Rng rng(13);
@@ -369,39 +357,86 @@ TEST(ShardedDenseFileTest, StatsAggregateBySummation) {
   EXPECT_EQ(file->command_stats().commands, 0);
 }
 
-TEST(ParallelReplayerTest, RangeMixesPartitionTheKeySpace) {
-  const int num_threads = 4;
-  const Key key_space = 1000;
-  const std::vector<Trace> traces = ParallelReplayer::DisjointRangeMixes(
-      num_threads, /*ops_per_thread=*/500, /*insert_fraction=*/0.35,
-      /*delete_fraction=*/0.30, /*scan_fraction=*/0.05, key_space,
-      /*scan_span=*/16, /*seed=*/3);
-  ASSERT_EQ(traces.size(), 4u);
-  int64_t scans = 0;
+// Per-thread mixed traces over disjoint key sets: each key's history is
+// one thread's program order, so a serial replay of the traces is an
+// exact oracle for any interleaving. Thread t draws its keys from those
+// congruent to t + 1 modulo T, which sends every thread to every shard,
+// or with `ranged` from its own contiguous slice of [1, key_space], the
+// partitioned-client shape. Fractions are insert/delete/scan; the rest
+// are gets, and scans span 64 keys.
+std::vector<Trace> DisjointMixes(int num_threads, int64_t ops_per_thread,
+                                 double insert_fraction,
+                                 double delete_fraction, double scan_fraction,
+                                 Key key_space, bool ranged, uint64_t seed) {
+  const Key threads = static_cast<Key>(num_threads);
+  const Key width = key_space / threads;
+  std::vector<Trace> traces(static_cast<size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
-    const Key lo = static_cast<Key>(t) * 250;
-    ASSERT_EQ(traces[static_cast<size_t>(t)].size(), 500u);
-    for (const Op& op : traces[static_cast<size_t>(t)]) {
-      // Every key stays inside the thread's contiguous slice.
-      EXPECT_GT(op.record.key, lo);
-      EXPECT_LE(op.record.key, lo + 250);
-      if (op.kind == Op::Kind::kScan) {
-        EXPECT_EQ(op.scan_hi, op.record.key + 16);
-        ++scans;
+    const Key first = static_cast<Key>(t) + 1;
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + first);
+    for (int64_t i = 0; i < ops_per_thread; ++i) {
+      const Key k =
+          ranged ? (first - 1) * width + 1 + rng.Uniform(width)
+                 : first + rng.Uniform((key_space - first) / threads + 1) *
+                               threads;
+      const double roll = rng.NextDouble();
+      Op op;
+      op.record = Record{k, k ^ seed};
+      if (roll < insert_fraction) {
+        op.kind = Op::Kind::kInsert;
+      } else if (roll < insert_fraction + delete_fraction) {
+        op.kind = Op::Kind::kDelete;
+      } else if (roll < insert_fraction + delete_fraction + scan_fraction) {
+        op.kind = Op::Kind::kScan;
+        op.scan_hi = k + 64;
+      } else {
+        op.kind = Op::Kind::kGet;
       }
+      traces[static_cast<size_t>(t)].push_back(op);
     }
   }
-  // The mix produces some of everything (loose sanity on the fractions).
-  EXPECT_GT(scans, 25);
-  EXPECT_LT(scans, 200);
+  return traces;
+}
 
-  // Disjoint ranges replay race-free: concurrent run, then invariants.
-  std::unique_ptr<ShardedDenseFile> file = MakeFile(SmallOptions(4, 1000));
-  ParallelReplayer replayer({num_threads});
-  const ReplayResult result = replayer.Replay(*file, traces);
-  EXPECT_TRUE(result.ok()) << result.first_unexpected_error.ToString();
-  EXPECT_EQ(result.Aggregate().ops, 2000);
-  EXPECT_TRUE(file->ValidateInvariants().ok());
+// Applies traces[t] on thread t, all threads released together by a
+// latch, then joins and drains every shard's staging. Returns each status
+// that was neither OK nor an expected workload rejection (AlreadyExists,
+// NotFound, CapacityExceeded); each thread collects its own.
+std::vector<Status> ReplayConcurrently(ShardedDenseFile& file,
+                                       const std::vector<Trace>& traces) {
+  std::vector<std::vector<Status>> unexpected(traces.size());
+  std::latch start(static_cast<std::ptrdiff_t>(traces.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < traces.size(); ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Record> scan_out;
+      start.arrive_and_wait();
+      for (const Op& op : traces[t]) {
+        Status status;
+        switch (op.kind) {
+          case Op::Kind::kInsert: status = file.Insert(op.record); break;
+          case Op::Kind::kDelete: status = file.Delete(op.record.key); break;
+          case Op::Kind::kGet: status = file.Get(op.record.key).status(); break;
+          case Op::Kind::kScan:
+            scan_out.clear();
+            status = file.Scan(op.record.key, op.scan_hi, &scan_out);
+            break;
+        }
+        if (!status.ok() && !status.IsAlreadyExists() &&
+            !status.IsNotFound() && !status.IsCapacityExceeded()) {
+          unexpected[t].push_back(status);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<Status> all;
+  for (const std::vector<Status>& mine : unexpected) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  const Status flush = file.FlushStaging();
+  if (!flush.ok()) all.push_back(flush);
+  return all;
 }
 
 // The storm: T threads of mixed traffic against S shards, then a full
@@ -420,10 +455,11 @@ TEST(ParallelReplayerTest, RangeMixesPartitionTheKeySpace) {
 // battery for the reader-writer lock split. The sixth puts every shard
 // on its own FileBackend: the pages then live only on the device, so
 // concurrent readers pread into pool frames (pooled) or into their own
-// scratch pages (unpooled).
+// scratch pages (unpooled). The seventh gives each thread a contiguous
+// key slice instead of a residue class (DisjointMixes).
 class ShardedStormTest
     : public ::testing::TestWithParam<
-          std::tuple<int, int, int, int, bool, bool>> {};
+          std::tuple<int, int, int, int, bool, bool, bool>> {};
 
 TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   const int num_shards = std::get<0>(GetParam());
@@ -432,6 +468,7 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   const int staging_entries = std::get<3>(GetParam());
   const bool read_mostly = std::get<4>(GetParam());
   const bool on_files = std::get<5>(GetParam());
+  const bool ranged = std::get<6>(GetParam());
   const Key key_space = 4000;
   const int64_t ops_per_thread = read_mostly ? 1500 : 4000;
 
@@ -474,23 +511,25 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   for (Key k = 2; k <= key_space; k += 2) initial.push_back(Record{k, k ^ 5});
   ASSERT_TRUE(file->BulkLoad(initial).ok());
 
-  const std::vector<Trace> traces = ParallelReplayer::DisjointUniformMixes(
+  const std::vector<Trace> traces = DisjointMixes(
       num_threads, ops_per_thread,
       /*insert_fraction=*/read_mostly ? 0.05 : 0.35,
       /*delete_fraction=*/read_mostly ? 0.04 : 0.30,
-      /*scan_fraction=*/read_mostly ? 0.01 : 0.05, key_space,
-      /*scan_span=*/64, /*seed=*/42);
+      /*scan_fraction=*/read_mostly ? 0.01 : 0.05, key_space, ranged,
+      /*seed=*/42);
+  // The oracle below needs every updated or read key in one trace only.
+  std::map<Key, size_t> owner;
+  for (size_t t = 0; t < traces.size(); ++t) {
+    for (const Op& op : traces[t]) {
+      if (op.kind == Op::Kind::kScan) continue;
+      ASSERT_EQ(owner.emplace(op.record.key, t).first->second, t);
+    }
+  }
 
-  ParallelReplayer replayer({num_threads});
-  const ReplayResult result = replayer.Replay(*file, traces);
-  ASSERT_TRUE(result.ok()) << result.unexpected_errors
-                           << " unexpected errors, first: "
-                           << result.first_unexpected_error.ToString();
-
-  const ReplayThreadStats agg = result.Aggregate();
-  EXPECT_EQ(agg.ops, static_cast<int64_t>(num_threads) * ops_per_thread);
-  EXPECT_EQ(agg.inserts + agg.deletes + agg.gets + agg.scans, agg.ops);
-  EXPECT_GT(result.wall_seconds, 0.0);
+  const std::vector<Status> unexpected = ReplayConcurrently(*file, traces);
+  ASSERT_TRUE(unexpected.empty()) << unexpected.size()
+                                  << " unexpected errors, first: "
+                                  << unexpected.front().ToString();
 
   // Oracle: the same traces replayed serially. Keys are disjoint across
   // threads, so the serial order within each trace fixes every key's
@@ -530,7 +569,7 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
   EXPECT_EQ(file->command_stats().commands, summed_commands);
 
   if (staging_entries > 0) {
-    // The replayer's end-of-run FlushStaging drained every shard: the
+    // ReplayConcurrently's closing FlushStaging drained every shard: the
     // staged storm saw real memtable traffic, nothing lingers staged,
     // and the per-shard counters sum to the aggregate.
     const StagingStats staged = file->staging_stats();
@@ -571,7 +610,13 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
         bound_violations += c.value;
       }
     }
-    EXPECT_EQ(shared + epoch_hits + fallbacks, agg.gets);
+    int64_t gets = 0;
+    for (const Trace& trace : traces) {
+      gets += std::count_if(trace.begin(), trace.end(), [](const Op& op) {
+        return op.kind == Op::Kind::kGet;
+      });
+    }
+    EXPECT_EQ(shared + epoch_hits + fallbacks, gets);
     EXPECT_EQ(bound_violations, 0);
   }
 
@@ -587,31 +632,34 @@ TEST_P(ShardedStormTest, ConcurrentMixedTrafficMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Storms, ShardedStormTest,
-    ::testing::Values(std::make_tuple(1, 4, 0, 0, false, false),
-                      std::make_tuple(4, 1, 0, 0, false, false),
-                      std::make_tuple(4, 4, 0, 0, false, false),
-                      std::make_tuple(8, 4, 0, 0, false, false),
-                      std::make_tuple(8, 8, 0, 0, false, false),
-                      std::make_tuple(4, 4, 8, 0, false, false),
-                      std::make_tuple(8, 8, 8, 0, false, false),
+    ::testing::Values(std::make_tuple(1, 4, 0, 0, false, false, false),
+                      std::make_tuple(4, 1, 0, 0, false, false, false),
+                      std::make_tuple(4, 4, 0, 0, false, false, false),
+                      std::make_tuple(8, 4, 0, 0, false, false, false),
+                      std::make_tuple(8, 8, 0, 0, false, false, false),
+                      std::make_tuple(4, 4, 8, 0, false, false, false),
+                      std::make_tuple(8, 8, 8, 0, false, false, false),
                       // Staged storms: memtable + drain under contention,
                       // without and with a per-shard pool (the latter runs
                       // the deferred-flush + volatile-key path too).
-                      std::make_tuple(4, 4, 0, 16, false, false),
-                      std::make_tuple(8, 8, 8, 16, false, false),
+                      std::make_tuple(4, 4, 0, 16, false, false, false),
+                      std::make_tuple(8, 8, 8, 16, false, false, false),
                       // Read-mostly shared-path storms: readers racing
                       // writers racing drains, audited and certified per
                       // command; the epoch pool-read branch needs frames
                       // to hit, so both pool-less and pooled shapes run.
-                      std::make_tuple(4, 4, 0, 16, true, false),
-                      std::make_tuple(8, 8, 8, 16, true, false),
+                      std::make_tuple(4, 4, 0, 16, true, false, false),
+                      std::make_tuple(8, 8, 8, 16, true, false, false),
                       // Device storms, one FileBackend per shard: a
                       // read-mostly pooled one (concurrent preads into
                       // frames) and an unpooled one (into caller scratch).
-                      std::make_tuple(4, 4, 8, 16, true, true),
-                      std::make_tuple(4, 4, 0, 0, false, true)),
+                      std::make_tuple(4, 4, 8, 16, true, true, false),
+                      std::make_tuple(4, 4, 0, 0, false, true, false),
+                      // Partitioned clients: each thread owns one key
+                      // slice, and with aligned splitters mostly one shard.
+                      std::make_tuple(4, 4, 0, 0, false, false, true)),
     [](const ::testing::TestParamInfo<
-        std::tuple<int, int, int, int, bool, bool>>& param) {
+        std::tuple<int, int, int, int, bool, bool, bool>>& param) {
       std::string base = "S" + std::to_string(std::get<0>(param.param)) + "T" +
                          std::to_string(std::get<1>(param.param));
       const int frames = std::get<2>(param.param);
@@ -620,6 +668,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (staged > 0) base += "Staged" + std::to_string(staged);
       if (std::get<4>(param.param)) base += "ReadMostly";
       if (std::get<5>(param.param)) base += "OnFiles";
+      if (std::get<6>(param.param)) base += "Ranged";
       return base;
     });
 

@@ -3,7 +3,8 @@
 // the in-memory simulation and the durable file backend, reopen
 // round-trips through DenseFile::Open (and what an open reads), a file
 // ten times its buffer pool, superblock version rejection, torn-page
-// (CRC) handling, and the fdatasyncs a pooled or staged command pays.
+// (CRC) handling, the fdatasyncs a pooled or staged command pays, and
+// a failed fdatasync that must not be retried into a false success.
 
 #include <algorithm>
 #include <cstdint>
@@ -587,6 +588,116 @@ TEST(FileBackendBarriers, StagedDrainSyncsOnlyAtFlush) {
     EXPECT_EQ(syncs_in_rounds, 0) << "cache_frames=" << frames;
     EXPECT_EQ(syncs_in_flush, kRounds) << "cache_frames=" << frames;
     EXPECT_EQ(file.size(), n + kRounds * 1000);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Device faults
+
+// A device whose next SyncBarrier fails once when *fail_next_sync is
+// set, as fdatasync does on EIO. Everything else goes to `device`.
+class FailingSyncBackend : public StorageBackend {
+ public:
+  FailingSyncBackend(std::unique_ptr<StorageBackend> device,
+                     bool* fail_next_sync)
+      : device_(std::move(device)), fail_next_sync_(fail_next_sync) {}
+
+  int64_t num_pages() const override { return device_->num_pages(); }
+  int64_t page_capacity() const override { return device_->page_capacity(); }
+  Status WritePage(Address address, const Page& page) override {
+    return device_->WritePage(address, page);
+  }
+  Status ReadPage(Address address, Page* out) override {
+    return device_->ReadPage(address, out);
+  }
+  Status SyncBarrier() override {
+    if (!*fail_next_sync_) return device_->SyncBarrier();
+    *fail_next_sync_ = false;
+    return Status::IoError("fdatasync: Input/output error");
+  }
+  std::string Name() const override { return device_->Name(); }
+
+ private:
+  std::unique_ptr<StorageBackend> device_;
+  bool* fail_next_sync_;
+};
+
+// After a failed fdatasync the kernel may have dropped the pages it could
+// not write, and a retried fdatasync can return 0 for them. So a file
+// whose barrier failed refuses every later write and barrier, including
+// CheckAndRepair's, and a reopen recovers the acknowledged commands.
+TEST(FileBackendFaults, FailedSyncRefusesWritesUntilReopen) {
+  const Workload w = MakeWorkload();
+  // Both keys lie above the workload's key space.
+  constexpr Key kInFlight = 5000;
+  constexpr Key kRefused = 5001;
+  for (const int64_t frames : {0, 8}) {
+    SCOPED_TRACE("cache_frames=" + std::to_string(frames));
+    ScopedTempDir dir("dsf-failed-sync");
+    FileBackend::Options fb;
+    fb.directory = dir.path();
+    bool fail_next_sync = false;
+    DenseFile::Options options = BaseOptions(frames);
+    options.num_pages = 64;  // room left for the in-flight insert
+    options.backend_factory = [&](int64_t num_pages, int64_t page_capacity)
+        -> StatusOr<std::unique_ptr<StorageBackend>> {
+      StatusOr<std::unique_ptr<StorageBackend>> device =
+          FileBackend::CreateFactory(fb)(num_pages, page_capacity);
+      if (!device.ok()) return device.status();
+      return std::unique_ptr<StorageBackend>(
+          new FailingSyncBackend(std::move(*device), &fail_next_sync));
+    };
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    ReferenceModel model(file->capacity());
+    ASSERT_TRUE(model.Load(w.initial).ok());
+    ASSERT_TRUE(file->BulkLoad(w.initial).ok());
+    for (const Op& op : w.trace) {
+      const Status s = Apply(*file, op);
+      ASSERT_TRUE(s.ok() || s.IsAlreadyExists() || s.IsNotFound() ||
+                  s.IsCapacityExceeded())
+          << s;
+      if (op.kind == Op::Kind::kInsert) IgnoreStatus(model.Insert(op.record));
+      if (op.kind == Op::Kind::kDelete) {
+        IgnoreStatus(model.Delete(op.record.key));
+      }
+    }
+    ASSERT_EQ(*file->ScanAll(), model.ScanAll());
+    ASSERT_LT(file->size(), file->capacity());
+
+    // The in-flight command: its barrier fails.
+    fail_next_sync = true;
+    EXPECT_TRUE(file->Insert(Record{kInFlight, 1}).IsIoError());
+    ASSERT_FALSE(fail_next_sync);
+
+    // Reads still answer; every later write or barrier is refused,
+    // although the device's next fdatasync would succeed.
+    const Record first = model.ScanAll().front();
+    StatusOr<Value> got = file->Get(first.key);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, first.value);
+    EXPECT_TRUE(file->Flush().IsIoError());
+    EXPECT_TRUE(file->CheckAndRepair().status().IsIoError());
+    EXPECT_TRUE(file->Insert(Record{kRefused, 2}).IsIoError());
+    EXPECT_TRUE(file->Delete(model.ScanAll().back().key).IsIoError());
+    EXPECT_TRUE(file->Flush().IsIoError());
+    got = file->Get(first.key);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, first.value);
+    file.reset();
+
+    // A reopen clears the latch. The file holds every acknowledged
+    // command, with or without the in-flight insert, and takes writes.
+    options.backend_factory = FileBackend::OpenFactory(fb);
+    StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    std::vector<Record> contents = *(*reopened)->ScanAll();
+    if (!contents.empty() && contents.back().key == kInFlight) {
+      contents.pop_back();
+    }
+    EXPECT_EQ(contents, model.ScanAll());
+    EXPECT_TRUE((*reopened)->Audit().ok());
+    EXPECT_TRUE((*reopened)->Insert(Record{kRefused, 2}).ok());
+    EXPECT_TRUE((*reopened)->Flush().ok());
   }
 }
 

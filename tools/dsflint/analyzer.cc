@@ -48,7 +48,9 @@ struct BodyJob {
 struct FnSummary {
   std::string bare_name;
   std::set<std::string> direct_locks;  // resolved lock classes
-  std::set<std::string> callees;       // bare callee names
+  // Callee names: bare, or "Class::name" for a receiver-less call made
+  // inside a class (see LockGraphRules).
+  std::set<std::string> callees;
   std::set<std::string> all_locks;     // after fixed-point propagation
 };
 
@@ -115,6 +117,19 @@ const std::set<std::string>& Keywords() {
       "case", "new", "delete", "catch", "throw", "decltype", "noexcept",
       "static_assert", "alignas", "co_await", "co_return", "assert"};
   return *kw;
+}
+
+// The names the project's accessors share with the standard containers.
+// The analyzer has no types, so `frames_.size()` cannot be told from
+// ShardedDenseFile::size(); a call of one of these names through `.` or
+// `->` is taken to be the container's and joins no lock summary.
+// Resolving it by bare name instead would hand every container call the
+// shard locks of ShardedDenseFile::size(), and invent an edge from every
+// lock held around one.
+const std::set<std::string>& StdMemberNames() {
+  static const std::set<std::string>* names =
+      new std::set<std::string>{"capacity", "empty", "front", "size"};
+  return *names;
 }
 
 const std::set<std::string>& NakedMutexTypes() {
@@ -837,10 +852,17 @@ void Engine::AnalyzeBody(const BodyJob& job) {
     }
 
     // Call events for the lock-graph summaries.
+    const bool member_call =
+        i >= 1 && (Is(t[i - 1], ".") || Is(t[i - 1], "->"));
     if (i + 1 < end && Is(t[i + 1], "(") && Keywords().count(tok.text) == 0 &&
         AnnotationMacros().count(tok.text) == 0 &&
-        !StartsWith(tok.text, "DSF_")) {
-      summary.callees.insert(tok.text);
+        !StartsWith(tok.text, "DSF_") &&
+        !(member_call && StdMemberNames().count(tok.text) != 0)) {
+      const bool own_scope = !member_call && !class_name.empty() &&
+                             !(i >= 1 && Is(t[i - 1], "::"));
+      const std::string callee =
+          own_scope ? class_name + "::" + tok.text : tok.text;
+      summary.callees.insert(callee);
       if (!held.empty()) {
         std::vector<std::string> held_classes;
         for (const Hold& h : held) {
@@ -850,7 +872,7 @@ void Engine::AnalyzeBody(const BodyJob& job) {
         }
         if (!held_classes.empty()) {
           db_.call_sites.push_back(
-              {tok.text, std::move(held_classes), {job.file, tok.line}});
+              {callee, std::move(held_classes), {job.file, tok.line}});
         }
       }
     }
@@ -1107,14 +1129,26 @@ void Engine::CatalogRules() {
 }
 
 void Engine::LockGraphRules() {
-  // Fixed-point propagation of acquired-lock sets through bare-name call
-  // summaries (only names with a body in the scan set resolve).
+  // Fixed-point propagation of acquired-lock sets through call summaries
+  // (only names with a body in the scan set resolve).
   std::map<std::string, std::vector<FnSummary*>> by_name;
   for (auto& [key, fn] : db_.fns) {
     (void)key;
     fn.all_locks = fn.direct_locks;
     by_name[fn.bare_name].push_back(&fn);
   }
+  // A receiver-less call inside a class is that class's own method when
+  // it defines one, as C++ lookup finds the member first (Page::Find's
+  // size() is Page::size). Any other call resolves to every function of
+  // its bare name.
+  auto resolve = [&](const std::string& callee) {
+    auto own = db_.fns.find(callee);
+    if (callee.find("::") != std::string::npos && own != db_.fns.end()) {
+      return std::vector<FnSummary*>{&own->second};
+    }
+    auto it = by_name.find(callee.substr(callee.rfind(':') + 1));
+    return it == by_name.end() ? std::vector<FnSummary*>() : it->second;
+  };
   bool changed = true;
   int rounds = 0;
   while (changed && ++rounds < 32) {
@@ -1122,9 +1156,7 @@ void Engine::LockGraphRules() {
     for (auto& [key, fn] : db_.fns) {
       (void)key;
       for (const std::string& callee : fn.callees) {
-        auto it = by_name.find(callee);
-        if (it == by_name.end()) continue;
-        for (const FnSummary* target : it->second) {
+        for (const FnSummary* target : resolve(callee)) {
           for (const std::string& lock : target->all_locks) {
             if (fn.all_locks.insert(lock).second) changed = true;
           }
@@ -1135,15 +1167,14 @@ void Engine::LockGraphRules() {
 
   // Call-mediated edges: held locks -> anything the callee may acquire.
   for (const CallSite& cs : db_.call_sites) {
-    auto it = by_name.find(cs.callee);
-    if (it == by_name.end()) continue;
     std::set<std::string> acquired;
-    for (const FnSummary* target : it->second) {
+    for (const FnSummary* target : resolve(cs.callee)) {
       acquired.insert(target->all_locks.begin(), target->all_locks.end());
     }
+    const std::string via = cs.callee.substr(cs.callee.rfind(':') + 1);
     for (const std::string& from : cs.held) {
       for (const std::string& to : acquired) {
-        if (from != to) RecordEdge(from, to, cs.site, cs.callee);
+        if (from != to) RecordEdge(from, to, cs.site, via);
       }
     }
   }
