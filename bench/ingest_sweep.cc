@@ -178,7 +178,6 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
        << ", \"seeks\": " << r.io.seeks
        << ", \"write_combines\": " << r.cache.write_combines
        << ", \"additive_absorbs\": " << r.cache.additive_absorbs
-       << ", \"relocations\": " << r.cache.relocations
        << ", \"ordered_flushes\": " << r.cache.ordered_flushes
        << ", \"flush_runs\": " << r.cache.flush_runs
        << ", \"evictions\": " << r.cache.evictions

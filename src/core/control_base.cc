@@ -203,8 +203,7 @@ Status ControlBase::WriteBlockPages(Address block, const Record* begin,
       // dirty-order list preserves the crash-safe order chosen here —
       // frames reach the device in the order they were dirtied, not in
       // address order. Knowing the content lets the pool absorb additive
-      // rewrites and relocate dependency-free ones (buffer_pool.h rules
-      // 2'/3†) instead of force-flushing the prefix on every re-dirty.
+      // rewrites (buffer_pool.h rule 2') instead of flushing the prefix.
       fault = pool_->Write(first + i, begin + offset, begin + offset + take);
     } else {
       // Content-passing write: the page is final when handed over, so a

@@ -473,12 +473,6 @@ Status DenseFile::ApplyStaged(const StagedEntry& entry) {
       // Already durable: a drain step interrupted after the write but
       // before the pop (transient fault) re-applies on retry.
       if (s.IsAlreadyExists()) return Status::OK();
-      // A freshly drained insert was never durability-promised (the
-      // point is Flush/FlushStaging): tell the pool so in-window shifts
-      // of this record don't pin the write-back order.
-      if (s.ok() && control_->pool() != nullptr && control_->flush_deferred()) {
-        control_->pool()->NoteVolatile(entry.record.key);
-      }
       return s;
     }
     case StagedEntry::Kind::kUpdate: {

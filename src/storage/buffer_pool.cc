@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <utility>
@@ -18,7 +17,6 @@ BufferPool::Stats& BufferPool::Stats::operator+=(const Stats& other) {
   write_combines += other.write_combines;
   ordered_flushes += other.ordered_flushes;
   additive_absorbs += other.additive_absorbs;
-  relocations += other.relocations;
   flush_runs += other.flush_runs;
   flushed_pages += other.flushed_pages;
   free_writes += other.free_writes;
@@ -31,7 +29,6 @@ std::string BufferPool::Stats::ToString() const {
      << " writebacks=" << writebacks << " combines=" << write_combines
      << " ordered_flushes=" << ordered_flushes
      << " additive_absorbs=" << additive_absorbs
-     << " relocations=" << relocations
      << " flush_runs=" << flush_runs << " flushed_pages=" << flushed_pages;
   return os.str();
 }
@@ -91,8 +88,6 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
   }
   f.address = address;
   f.free_write = false;
-  f.removed_keys.clear();
-  f.removed_unknown = false;
   Touch(f);
   resident_.emplace(address, index);
   return index;
@@ -152,47 +147,18 @@ Status BufferPool::FlushFrame(int64_t frame) {
     if (m_writebacks_ != nullptr) m_writebacks_->Increment();
   }
   f.dirty = false;
-  f.removed_keys.clear();
-  f.removed_unknown = false;
   dirty_order_.erase(f.dirty_it);
   return Status::OK();
 }
 
-std::vector<int64_t> BufferPool::SafeOrder(
-    const std::vector<int64_t>& frames) const {
-  // Partition into pure-addition frames (empty removal ledger: their
-  // pending image is a superset of every image the device may hold for
-  // that page, so landing them at ANY point loses nothing) and removal
-  // frames. Additions flush first in address order — one sequential
-  // sweep instead of an L-order scatter — then removals in L order, by
-  // which point every frame that duplicated their removed records has
-  // already landed. Every intermediate crash point keeps the no-lost-
-  // record guarantee that plain L-order flushing provides.
-  std::vector<std::pair<Address, int64_t>> adds;
-  std::vector<int64_t> removals;
-  for (const int64_t frame : frames) {
-    const Frame& f = frames_[static_cast<size_t>(frame)];
-    if (OrderFree(f)) {
-      adds.emplace_back(f.address, frame);
-    } else {
-      removals.push_back(frame);
-    }
-  }
-  std::sort(adds.begin(), adds.end());
-  std::vector<int64_t> order;
-  order.reserve(frames.size());
-  for (const auto& add : adds) order.push_back(add.second);
-  order.insert(order.end(), removals.begin(), removals.end());
-  return order;
-}
-
 Status BufferPool::FlushPrefixThrough(int64_t frame) {
-  std::vector<int64_t> prefix;
-  for (const int64_t dirty : dirty_order_) {
-    prefix.push_back(dirty);
-    if (dirty == frame) break;
-  }
-  for (const int64_t f : SafeOrder(prefix)) DSF_RETURN_IF_ERROR(FlushFrame(f));
+  DSF_DCHECK(frames_[static_cast<size_t>(frame)].dirty)
+      << "FlushPrefixThrough on a frame outside L";
+  int64_t front;
+  do {
+    front = dirty_order_.front();
+    DSF_RETURN_IF_ERROR(FlushFrame(front));
+  } while (front != frame);
   return Status::OK();
 }
 
@@ -265,12 +231,11 @@ Status BufferPool::MarkFree(Address address) {
 
 Status BufferPool::Place(Address address, const Record* begin,
                          const Record* end, bool free_write) {
-  const bool was_resident = resident_.find(address) != resident_.end();
   StatusOr<int64_t> frame = AcquireFrame(address, /*load=*/false);
   DSF_RETURN_IF_ERROR(frame.status());
   // Order matters: MarkDirty may flush the frame's *old* image (rule 3);
   // only then may the content be replaced.
-  DSF_RETURN_IF_ERROR(MarkDirty(*frame, was_resident, begin, end));
+  DSF_RETURN_IF_ERROR(MarkDirty(*frame, begin, end));
   Frame& f = frames_[static_cast<size_t>(*frame)];
   f.page.Clear();
   f.page.AppendHigh(begin, end);
@@ -296,92 +261,16 @@ bool IsSortedSuperset(const Page& page, const Record* begin,
 
 }  // namespace
 
-void BufferPool::AccumulateRemoved(Frame* f, const Record* begin,
-                                   const Record* end) {
-  if (f->removed_unknown) return;  // already maximally conservative
-  std::vector<Key>& removed = f->removed_keys;
-  const size_t before = removed.size();
-  const Record* it = begin;
-  for (const Record& old : f->page.records()) {
-    while (it != end && it->key < old.key) ++it;
-    if (it == end || !(*it == old)) removed.push_back(old.key);
-  }
-  // The walk appended one strictly ascending run (page keys are unique).
-  // An ascending drain removes above everything removed before, so the
-  // run usually extends the ledger as it stands; otherwise merge it in.
-  if (before == 0 || before == removed.size() ||
-      removed[before - 1] < removed[before]) {
-    return;
-  }
-  const auto middle = removed.begin() + static_cast<std::ptrdiff_t>(before);
-  std::inplace_merge(removed.begin(), middle, removed.end());
-  removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
-}
-
-bool BufferPool::RelocationSafe(const Frame& f) const {
-  // Frames dirtied after f, in L order. Any of them whose flush removes
-  // a key that f's pending image still carries is (or may be, for the
-  // removed_unknown case) relying on f flushing first —
-  // f must then take the rule-3 prefix flush instead of relocating.
-  const std::vector<Record>& pending = f.page.records();
-  const auto by_key = [](const Record& r, Key k) { return r.key < k; };
-  for (auto it = std::next(f.dirty_it); it != dirty_order_.end(); ++it) {
-    const Frame& g = frames_[static_cast<size_t>(*it)];
-    if (g.removed_unknown) return false;
-    if (pending.empty()) continue;
-    // Only the slice of g's sorted ledger inside f's key range can name
-    // a record of f's page; both sides ascend, so the probe of the
-    // pending image only moves forward.
-    const std::vector<Key>& removed = g.removed_keys;
-    auto key = std::lower_bound(removed.begin(), removed.end(),
-                                pending.front().key);
-    const auto last =
-        std::upper_bound(key, removed.end(), pending.back().key);
-    auto pos = pending.begin();
-    for (; key != last; ++key) {
-      pos = std::lower_bound(pos, pending.end(), *key, by_key);
-      // A volatile key was never durability-promised; losing it on a
-      // crash is within the recovery contract, so its removal does not
-      // pin f's flush position.
-      if (pos->key == *key && volatile_keys_.count(*key) == 0) return false;
-    }
-  }
-  return true;
-}
-
-bool BufferPool::OrderFree(const Frame& f) const {
-  if (f.removed_unknown) return false;
-  for (const Key key : f.removed_keys) {
-    if (volatile_keys_.count(key) == 0) return false;
-  }
-  return true;
-}
-
-void BufferPool::NoteVolatile(Key key) {
-  MutexLock lock(mu_);
-  volatile_keys_.insert(key);
-}
-
-Status BufferPool::MarkDirty(int64_t frame, bool was_resident,
-                             const Record* begin, const Record* end) {
+Status BufferPool::MarkDirty(int64_t frame, const Record* begin,
+                             const Record* end) {
   Frame& f = frames_[static_cast<size_t>(frame)];
   if (!f.dirty) {
     EnterTail(frame);
-    if (was_resident) {
-      // Clean resident frame: pending == device, so this rewrite's
-      // removals are exactly old content minus new.
-      AccumulateRemoved(&f, begin, end);
-    } else {
-      // The device image was never read: what this write removes from
-      // it is unknown.
-      f.removed_unknown = true;
-    }
     return Status::OK();
   }
   if (f.dirty_it == std::prev(dirty_order_.end())) {
-    // Rule 2: tail combine, with the removal ledger kept accurate.
+    // Rule 2: tail combine.
     ++stats_.write_combines;
-    AccumulateRemoved(&f, begin, end);
     return Status::OK();
   }
   if (IsSortedSuperset(f.page, begin, end)) {
@@ -389,40 +278,20 @@ Status BufferPool::MarkDirty(int64_t frame, bool was_resident,
     ++stats_.additive_absorbs;
     return Status::OK();
   }
-  if (RelocationSafe(f)) {
-    // Rule 3†: nothing after f depends on its pending image, so the
-    // merged rewrite moves to the tail without touching the device.
-    AccumulateRemoved(&f, begin, end);
-    dirty_order_.erase(f.dirty_it);
-    EnterTail(frame);
-    ++stats_.relocations;
-    return Status::OK();
-  }
-  // Rule 3: the old image lands first, then the frame re-enters at the
-  // tail. When the old image adds or only removes volatile keys versus
-  // the device it may land alone and out of order — nothing durable can
-  // be lost at any crash point; otherwise everything before it lands
-  // too, in safe order.
+  // Rule 3: the old image lands after everything dirtied before it, then
+  // the frame re-enters at the tail.
   ++stats_.ordered_flushes;
-  if (OrderFree(f)) {
-    DSF_RETURN_IF_ERROR(FlushFrame(frame));
-  } else {
-    DSF_RETURN_IF_ERROR(FlushPrefixThrough(frame));
-  }
-  // The device now holds the old pending image, so the fresh lifetime's
-  // removals are old minus new.
+  DSF_RETURN_IF_ERROR(FlushPrefixThrough(frame));
   EnterTail(frame);
-  AccumulateRemoved(&f, begin, end);
   return Status::OK();
 }
 
 Status BufferPool::FlushAll() {
   MutexLock lock(mu_);
-  const std::vector<int64_t> order = SafeOrder(
-      std::vector<int64_t>(dirty_order_.begin(), dirty_order_.end()));
   Address previous = -1;
   int64_t run_length = 0;
-  for (const int64_t frame : order) {
+  while (!dirty_order_.empty()) {
+    const int64_t frame = dirty_order_.front();
     const Address address = frames_[static_cast<size_t>(frame)].address;
     if (previous < 0 ||
         (address != previous && address != previous + 1 &&
@@ -443,15 +312,11 @@ Status BufferPool::FlushAll() {
   if (m_flush_run_length_ != nullptr && run_length > 0) {
     m_flush_run_length_->Observe(run_length);
   }
-  // Everything pending has landed: this is the durability point, so no
-  // key is volatile any more.
-  volatile_keys_.clear();
   return Status::OK();
 }
 
 void BufferPool::DropAll() {
   MutexLock lock(mu_);
-  volatile_keys_.clear();
   dirty_order_.clear();
   resident_.clear();
   free_frames_.clear();
@@ -461,8 +326,6 @@ void BufferPool::DropAll() {
     f.dirty = false;
     f.free_write = false;
     f.ref = false;
-    f.removed_keys.clear();
-    f.removed_unknown = false;
     f.page.Clear();
     free_frames_.push_back(i);
   }

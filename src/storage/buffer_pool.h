@@ -26,48 +26,24 @@
 // version with a newer one that no longer carries some record — would
 // destroy that property. The pool therefore keeps dirty frames in a
 // *dirty-order list* L and enforces:
-//   1. flush never commutes a removal before the write that re-homed
-//      the removed record: frames whose pending image removes something
-//      reach the device in first-dirtied order, and only order-free
-//      frames (pure additions) may land ahead of them, sorted by
-//      address (SafeOrder);
+//   1. flush walks L front-to-back: frames reach the device in
+//      first-dirtied order, never reordered by address;
 //   2. write combining (absorbing a second write to an already-dirty
 //      frame) is allowed only while the frame is the *tail* of L —
 //      nothing was dirtied after it, so collapsing the two versions
 //      cannot commute a later write before an earlier one;
-//   3. re-dirtying a dirty frame that is NOT the tail first flushes the
+//   2'. additive absorption: a rewrite of a non-tail frame whose new
+//      content is a SUPERSET of the frame's pending content (a block
+//      page growing under an ascending drain, a SHIFT destination
+//      accumulating records) is absorbed at the frame's *original*
+//      position in L with no flush: a record can only be lost by a
+//      write that REMOVES it, and this write removes nothing;
+//   3. any other re-dirtying of a non-tail frame first flushes the
 //      prefix of L up to and including that frame (preserving its old
 //      version's position in the order), then re-enters it at the tail.
 // Under the controls' access patterns rule 3 is rare (a SHIFT chain
 // touches each block once), so almost all repeated writes combine; rule
 // 2 is what makes the pool safe rather than merely fast.
-//
-// Content-aware write-back (rules 2' and 3†). Write receives the full
-// replacement image, so before falling back to rule 3 the pool can
-// prove two cheaper escapes sound:
-//   2'. Additive absorption — the new content is a SUPERSET of the
-//       frame's pending content (a block page growing under an
-//       ascending drain, a SHIFT destination accumulating records).
-//       The rewrite is absorbed at the frame's *original* position in
-//       L with no flush: a record can only be lost by a write that
-//       REMOVES it, and this write removes nothing.
-//   3†. Safe relocation — the rewrite removes records, but no
-//       later-dirtied frame depends on this frame's pending image.
-//       Each dirty frame tracks the keys its flush will remove from
-//       the device (removed_keys; a conservative removed_unknown when
-//       the first write of a non-resident page replaced a device image
-//       the pool never read); the pending image that protects
-//       such a removal — the duplicate written first — always sits at
-//       an EARLIER position in L. If no frame after F lists a removed
-//       key that F's pending image still holds, then nothing between
-//       F's slot and the tail needs F flushed first, and F simply
-//       moves to the tail with its new content — no device traffic.
-//       (The classic unsafe chain — a record hopping P→Q→R, where
-//       P's pending removal relies on Q's pending image — fails the
-//       check: Q still holds the key P removed, so Q takes the rule-3
-//       prefix flush instead.)
-// Removal writes that fail both tests keep the full rule-3 prefix
-// flush, so duplicate-before-delete holds at every crash point.
 //
 // Write coalescing. Because SHIFT writes blocks of consecutive pages in
 // a deliberate direction, entries of L are typically address-adjacent
@@ -110,7 +86,6 @@
 #include <list>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/page.h"
@@ -142,8 +117,9 @@ class BufferPool {
     int64_t ordered_flushes = 0;  // prefix flushes forced by rule 3
     int64_t additive_absorbs = 0;  // superset rewrites absorbed in place
                                    // at their original L position (rule 2')
-    int64_t relocations = 0;  // removal rewrites safely moved to the
-                              // tail of L without a flush (rule 3†)
+    // Always 0: the pool no longer relocates a rewrite without a flush.
+    // Kept because bench/ledger still exports it as pool.relocations.
+    int64_t relocations = 0;
     int64_t flush_runs = 0;      // maximal consecutive-address runs flushed
     int64_t flushed_pages = 0;   // pages written by FlushAll (incl. frees)
     int64_t free_writes = 0;     // freed-page clears applied at flush
@@ -186,7 +162,7 @@ class BufferPool {
 
   // Replaces page `address` with the sorted records [begin, end). The
   // frame is not filled from the device (the image is complete); the
-  // pool places the rewrite in L by rules 2 / 2' / 3† / 3 (see the header
+  // pool places the rewrite in L by rules 2 / 2' / 3 (see the header
   // note) and copies it in. Errors as Read, plus a rule-3 flush fault.
   Status Write(Address address, const Record* begin, const Record* end)
       DSF_EXCLUDES(mu_);
@@ -203,15 +179,6 @@ class BufferPool {
   // Enqueues "this page becomes empty" through the dirty order; the
   // eventual device clear is unaccounted bookkeeping (see header note).
   Status MarkFree(Address address) DSF_EXCLUDES(mu_);
-
-  // Declares `key` never-yet-durable: it was created after the last
-  // durability point (e.g. drained from a volatile memtable inside a
-  // flush-deferral window), so losing it on a crash is within the
-  // recovery contract. Removals of volatile keys impose no write-order
-  // constraint — RelocationSafe and the safe-order flush scheduler
-  // ignore them. The set clears itself once every dirty frame lands
-  // (successful FlushAll = the durability point) or the cache drops.
-  void NoteVolatile(Key key) DSF_EXCLUDES(mu_);
 
   // Writes every dirty frame to the device in dirty-order. On a fault
   // the failed frame and everything after it stay dirty (and keep their
@@ -275,15 +242,6 @@ class BufferPool {
     bool ref = false;         // CLOCK second-chance bit
     int64_t dirty_seq = 0;    // serial stamped when going clean -> dirty
     std::list<int64_t>::iterator dirty_it;  // valid iff dirty
-    // Keys this frame's flush will remove from (or change on) the
-    // device, accumulated over the dirty lifetime — the dependency
-    // record behind rule 3† (see header note). removed_unknown marks a
-    // dirty lifetime that began by replacing a device image the pool
-    // never read (the first write of a non-resident page); it
-    // conservatively blocks relocations past this frame. Both reset
-    // when the frame goes clean. removed_keys is sorted and unique.
-    std::vector<Key> removed_keys;
-    bool removed_unknown = false;
   };
 
   // Returns a frame holding `address`, which the caller has range-checked;
@@ -298,39 +256,15 @@ class BufferPool {
   Status Place(Address address, const Record* begin, const Record* end,
                bool free_write) DSF_REQUIRES(mu_);
   // Dirties `frame` ahead of a rewrite whose full replacement content is
-  // [begin, end): applies rules 2 / 2' / 3† / 3 to place the frame in L
-  // and keeps the removal ledger exact. `was_resident` tells whether the
-  // frame held the device image before AcquireFrame.
-  Status MarkDirty(int64_t frame, bool was_resident, const Record* begin,
-                   const Record* end) DSF_REQUIRES(mu_);
+  // [begin, end): applies rules 2 / 2' / 3 to place the frame in L.
+  Status MarkDirty(int64_t frame, const Record* begin, const Record* end)
+      DSF_REQUIRES(mu_);
   // Appends `frame` to the tail of L with a fresh dirty_seq.
   void EnterTail(int64_t frame) DSF_REQUIRES(mu_);
-  // True when no dirty frame ordered after `f` in L lists a removed key
-  // that f's pending image still holds — the rule-3† safety condition.
-  // Volatile keys are exempt. A later frame with removed_unknown fails
-  // it outright; otherwise only the slice of its ledger inside f's key
-  // range is probed against f's page, with a cursor that moves forward,
-  // and the volatile set is consulted only for a key found there.
-  bool RelocationSafe(const Frame& f) const DSF_REQUIRES(mu_);
-  // True when flushing `f` at any position loses nothing durable: its
-  // ledger is exact and every removed key is volatile.
-  bool OrderFree(const Frame& f) const DSF_REQUIRES(mu_);
-  // Adds to f.removed_keys every key of f's pending page that the
-  // replacement [begin, end) drops or rebinds to a new value, keeping the
-  // ledger sorted and unique: the new keys form one ascending run, kept
-  // as appended when it starts above the ledger's last key and merged in
-  // otherwise. No-op when the frame is already removed_unknown.
-  static void AccumulateRemoved(Frame* f, const Record* begin,
-                                const Record* end);
   // Writes one dirty frame to the device and removes it from L.
   Status FlushFrame(int64_t frame) DSF_REQUIRES(mu_);
   // Flushes L front-to-back up to and including `frame`.
   Status FlushPrefixThrough(int64_t frame) DSF_REQUIRES(mu_);
-  // The crash-safe flush schedule for `frames` (given in L order): pure
-  // additions first in address order, then removal frames in L order
-  // (see the .cc comment).
-  std::vector<int64_t> SafeOrder(const std::vector<int64_t>& frames) const
-      DSF_REQUIRES(mu_);
   void Touch(Frame& f) DSF_REQUIRES(mu_);
 
   PageFile* file_;
@@ -345,8 +279,6 @@ class BufferPool {
   std::list<int64_t> dirty_order_ DSF_GUARDED_BY(mu_);
   int64_t clock_hand_ DSF_GUARDED_BY(mu_) = 0;
   int64_t next_dirty_seq_ DSF_GUARDED_BY(mu_) = 0;
-  // Keys created after the last durability point (see NoteVolatile).
-  std::unordered_set<Key> volatile_keys_ DSF_GUARDED_BY(mu_);
   Stats stats_ DSF_GUARDED_BY(mu_);
   Counter* m_hits_ DSF_GUARDED_BY(mu_) = nullptr;
   Counter* m_misses_ DSF_GUARDED_BY(mu_) = nullptr;

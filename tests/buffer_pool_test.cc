@@ -2,7 +2,7 @@
 //
 // Pool level: hit/miss accounting against the logical/physical IoStats
 // split, dirty-order write-back rules (tail combining, additive
-// absorption, safe relocation, rule-3 prefix flushes), in-order eviction,
+// absorption, rule-3 prefix flushes), in-order eviction, L-order FlushAll,
 // flush-run coalescing, fault-injected write-back, RAM-loss DropAll and
 // a concurrent Read / Write / TryEpochGet storm.
 //
@@ -147,10 +147,9 @@ TEST_F(BufferPoolTest, NonTailRedirtyFlushesPrefixInOrder) {
   ASSERT_TRUE(Write(*pool, 1, {{1, 1}}).ok());
   ASSERT_TRUE(Write(*pool, 2, {{2, 2}}).ok());
   // Re-dirtying page 1 (now the FRONT of L, not the tail) with an image
-  // that rebinds key 1 removes the old record, and page 2's first write
-  // replaced a device image the pool never read, so neither rule 2' nor
-  // rule 3† applies: rule 3 flushes the old version of page 1 to the
-  // device before the new one may commute past the write of page 2.
+  // that rebinds key 1 removes the old record, so rule 2' does not
+  // apply: rule 3 flushes the old version of page 1 to the device before
+  // the new one may commute past the write of page 2.
   ASSERT_TRUE(Write(*pool, 1, {{1, 10}, {3, 3}}).ok());
   EXPECT_EQ(pool->stats().ordered_flushes, 1);
   ASSERT_EQ(PeekPage(file_, 1).size(), 1);  // old version already on device
@@ -331,13 +330,13 @@ TEST_F(BufferPoolTest, MarkFreeRidesDirtyOrderUnaccounted) {
   EXPECT_EQ(delta.page_writes, 1);
 }
 
-// --- Content-aware write-back: rules 2' and 3† ---
+// --- Non-tail rewrites: rules 2' and 3 ---
 
 TEST_F(BufferPoolTest, RewriteSupersetAbsorbsWithoutFlush) {
   SeedPage(3, 30);
   auto pool = MakePool(4);
   std::vector<Record> out;
-  ASSERT_TRUE(pool->Read(3, &out).ok());  // resident: exact ledger
+  ASSERT_TRUE(pool->Read(3, &out).ok());
   ASSERT_TRUE(Write(*pool, 3, {{30, 30}, {40, 40}}).ok());
   // A second dirty frame makes page 3 non-tail.
   ASSERT_TRUE(Write(*pool, 5, {{50, 50}}).ok());
@@ -352,34 +351,12 @@ TEST_F(BufferPoolTest, RewriteSupersetAbsorbsWithoutFlush) {
   EXPECT_EQ(PeekPage(file_, 3).size(), 3);
 }
 
-TEST_F(BufferPoolTest, RewriteRelocatesWhenNothingDependsOnIt) {
-  SeedPage(3, 30);
-  SeedPage(5, 50);
-  auto pool = MakePool(4);
-  std::vector<Record> out;
-  ASSERT_TRUE(pool->Read(3, &out).ok());
-  ASSERT_TRUE(pool->Read(5, &out).ok());
-  ASSERT_TRUE(Write(*pool, 3, {{30, 30}, {40, 40}}).ok());
-  ASSERT_TRUE(Write(*pool, 5, {{50, 50}, {60, 60}}).ok());
-  // Rule 3†: dropping key 40 from non-tail page 3 is safe to relocate to
-  // the tail — no later frame's ledger lists a key page 3 still holds.
-  const IoStats before = file_.stats();
-  ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
-  EXPECT_EQ(pool->stats().relocations, 1);
-  EXPECT_EQ(pool->stats().ordered_flushes, 0);
-  EXPECT_EQ((file_.stats() - before).page_writes, 0);
-  ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
-  EXPECT_EQ(PeekPage(file_, 5).size(), 2);
-}
-
-TEST_F(BufferPoolTest, RewriteRefusesRelocationWhenRemovalDependsOnIt) {
-  // The record-hop chain: key 10 lives on page 2 (device), duplicates to
-  // page 3, then page 2's removal enters L. Rewriting page 3 to drop key
-  // 10 again must NOT relocate past page 2's pending removal — a crash
-  // after the removal landed would lose the key's only durable copy. The
-  // old image is order-free (pure addition), so the minimal rule 3 lands
-  // it alone: exactly one accounted device write, no full prefix flush.
+TEST_F(BufferPoolTest, RecordHopChainKeepsADurableCopyAtEveryStep) {
+  // The record-hop chain P -> Q -> R: key 10 lives on page 2 (P) on the
+  // device, is duplicated to page 3 (Q), P's removal enters L, the key is
+  // duplicated again to page 4 (R), and then Q drops it. Q is not the
+  // tail and its rewrite removes a record, so rule 3 lands Q's old image
+  // (still holding 10) before Q re-enters L behind R.
   SeedPage(2, 10);
   SeedPage(3, 30);
   auto pool = MakePool(4);
@@ -388,40 +365,31 @@ TEST_F(BufferPoolTest, RewriteRefusesRelocationWhenRemovalDependsOnIt) {
   ASSERT_TRUE(pool->Read(3, &out).ok());
   ASSERT_TRUE(Write(*pool, 3, {{10, 10}, {30, 30}}).ok());
   ASSERT_TRUE(Write(*pool, 2, {}).ok());
+  ASSERT_TRUE(Write(*pool, 4, {{10, 10}}).ok());
   const IoStats before = file_.stats();
   ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
-  EXPECT_EQ(pool->stats().relocations, 0);
   EXPECT_EQ(pool->stats().ordered_flushes, 1);
   EXPECT_EQ((file_.stats() - before).page_writes, 1);
+  EXPECT_EQ(PeekPage(file_, 3).size(), 2);  // Q's old image landed
+  EXPECT_EQ(PeekPage(file_, 2).size(), 1);  // P's removal still pending
+  EXPECT_EQ(pool->dirty_pages(), 3);
+
+  // L is now [P, R, Q]. A crash after P's removal lands but before R's
+  // duplicate does still finds key 10 on Q, whose drop is behind R.
+  auto policy = std::make_shared<FaultPolicy>();
+  policy->FailAddressRange(4, 4, /*writes_only=*/true);
+  file_.set_fault_policy(policy);
+  EXPECT_TRUE(pool->FlushAll().IsIoError());
+  EXPECT_TRUE(PeekPage(file_, 2).empty());
+  EXPECT_EQ(PeekPage(file_, 3).MinKey(), 10);
+  EXPECT_TRUE(PeekPage(file_, 4).empty());
+
+  file_.set_fault_policy(nullptr);
   ASSERT_TRUE(pool->FlushAll().ok());
   EXPECT_EQ(PeekPage(file_, 3).size(), 1);
-  EXPECT_TRUE(PeekPage(file_, 2).empty());
+  EXPECT_EQ(PeekPage(file_, 3).MinKey(), 30);
+  EXPECT_EQ(PeekPage(file_, 4).MinKey(), 10);
 }
-
-TEST_F(BufferPoolTest, VolatileKeyLiftsRelocationConstraint) {
-  // Same chain as above, but key 10 is declared volatile (never
-  // durability-promised): its removal imposes no ordering, so the
-  // rewrite relocates for free.
-  SeedPage(2, 10);
-  SeedPage(3, 30);
-  auto pool = MakePool(4);
-  std::vector<Record> out;
-  ASSERT_TRUE(pool->Read(2, &out).ok());
-  ASSERT_TRUE(pool->Read(3, &out).ok());
-  ASSERT_TRUE(Write(*pool, 3, {{10, 10}, {30, 30}}).ok());
-  ASSERT_TRUE(Write(*pool, 2, {}).ok());
-  pool->NoteVolatile(10);
-  const IoStats before = file_.stats();
-  ASSERT_TRUE(Write(*pool, 3, {{30, 30}}).ok());
-  EXPECT_EQ(pool->stats().relocations, 1);
-  EXPECT_EQ(pool->stats().ordered_flushes, 0);
-  EXPECT_EQ((file_.stats() - before).page_writes, 0);
-  ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(PeekPage(file_, 3).size(), 1);
-  EXPECT_TRUE(PeekPage(file_, 2).empty());
-}
-
-// --- Rule 3† against multi-key removal ledgers ---
 
 // One record key=value=k per key.
 std::vector<Record> Image(const std::vector<Key>& keys) {
@@ -430,133 +398,81 @@ std::vector<Record> Image(const std::vector<Key>& keys) {
   return records;
 }
 
-// Seeds a device page directly (unaccounted), records key=value=k.
-void SeedKeys(PageFile& file, Address address, const std::vector<Key>& keys) {
-  const std::vector<Record> records = Image(keys);
-  EXPECT_TRUE(
-      file.RawWrite(address, records.data(), records.data() + records.size())
-          .ok());
-}
-
+// Rule 3 does not look at what later frames remove: any rewrite of a
+// non-tail frame that drops a record flushes the prefix through it.
 // Each case builds the same L: page 3 (f) goes resident empty and is
-// written `f_pending`, a pure addition; then page 2 (g), seeded with
-// `g_keys`, goes resident and is written empty, so g sits after f in L
-// with exactly `g_keys` in its ledger. Rewriting f to `f_final` (which
-// removes records, so rule 2' cannot absorb it) then relocates f only
-// if no non-volatile key of g's ledger is on f's pending page. Returns
-// the device writes the rewrite cost.
-int64_t RewriteAheadOfRemoval(PageFile& file, BufferPool& pool,
-                              const std::vector<Key>& f_pending,
-                              const std::vector<Key>& g_keys,
-                              const std::vector<Key>& f_final) {
-  SeedKeys(file, 2, g_keys);
-  std::vector<Record> out;
-  EXPECT_TRUE(pool.Read(3, &out).ok());
-  EXPECT_TRUE(pool.Read(2, &out).ok());
-  EXPECT_TRUE(Write(pool, 3, Image(f_pending)).ok());
-  EXPECT_TRUE(Write(pool, 2, {}).ok());
-  const IoStats before = file.stats();
-  EXPECT_TRUE(Write(pool, 3, Image(f_final)).ok());
-  return (file.stats() - before).page_writes;
-}
-
-TEST_F(BufferPoolTest, BlockingKeyInTheMiddleOfALaterLedgerForcesRule3) {
-  auto pool = MakePool(4);
-  // g's ledger {15, 20, 25} lies inside f's range; only 20 is on f.
-  EXPECT_EQ(RewriteAheadOfRemoval(file_, *pool, {10, 20, 30}, {15, 20, 25},
-                                  {10, 30}),
-            1);
-  EXPECT_EQ(pool->stats().relocations, 0);
-  EXPECT_EQ(pool->stats().ordered_flushes, 1);
-  EXPECT_EQ(PeekPage(file_, 3).size(), 3);  // f's old image landed first
-}
-
-TEST_F(BufferPoolTest, BlockingKeyAtEitherEndOfThePendingPageForcesRule3) {
-  // The ledger slice is cut at f's first and last keys, inclusive.
+// written `f_pending`; then page 2 (g), seeded with `g_keys`, goes
+// resident and is written empty, so g sits after f. Rewriting f to
+// `f_final` lands f's old image, and only it, whether or not g's removal
+// touches a record of f's page.
+TEST_F(BufferPoolTest, NonTailRemovalRewriteFlushesThePrefixThroughIt) {
   struct Case {
     const char* name;
+    std::vector<Key> f_pending;
     std::vector<Key> g_keys;
     std::vector<Key> f_final;
   };
-  for (const Case& c : {Case{"f's first key", {5, 10}, {20, 30}},
-                        Case{"f's last key", {30, 35}, {10, 20}}}) {
+  for (const Case& c :
+       {Case{"g removes nothing", {10, 20, 30}, {}, {10, 30}},
+        Case{"g removes a key in the middle of f", {10, 20, 30}, {15, 20, 25},
+             {10, 30}},
+        Case{"g removes f's first key", {10, 20, 30}, {5, 10}, {20, 30}},
+        Case{"g removes f's last key", {10, 20, 30}, {30, 35}, {10, 20}},
+        Case{"g removes keys off f's page", {10, 30, 50}, {20, 40},
+             {10, 30}}}) {
     SCOPED_TRACE(c.name);
     PageFile file(/*num_pages=*/64, /*page_capacity=*/8);
     BufferPool pool(&file, {.num_frames = 4});
-    EXPECT_EQ(
-        RewriteAheadOfRemoval(file, pool, {10, 20, 30}, c.g_keys, c.f_final),
-        1);
-    EXPECT_EQ(pool.stats().relocations, 0);
-    EXPECT_EQ(pool.stats().ordered_flushes, 1);
-  }
-}
-
-TEST_F(BufferPoolTest, LaterLedgerInsideTheKeyRangeButOffThePageRelocates) {
-  auto pool = MakePool(4);
-  // 20 and 40 fall between f's keys but are not f's records.
-  EXPECT_EQ(
-      RewriteAheadOfRemoval(file_, *pool, {10, 30, 50}, {20, 40}, {10, 30}),
-      0);
-  EXPECT_EQ(pool->stats().relocations, 1);
-  EXPECT_EQ(pool->stats().ordered_flushes, 0);
-  ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(PeekPage(file_, 3).size(), 2);
-  EXPECT_TRUE(PeekPage(file_, 2).empty());
-}
-
-TEST_F(BufferPoolTest, VolatileOnlyOverlapInAMultiKeyLedgerRelocates) {
-  auto pool = MakePool(4);
-  pool->NoteVolatile(20);
-  EXPECT_EQ(RewriteAheadOfRemoval(file_, *pool, {10, 20, 30}, {15, 20, 25},
-                                  {10, 30}),
-            0);
-  EXPECT_EQ(pool->stats().relocations, 1);
-  EXPECT_EQ(pool->stats().ordered_flushes, 0);
-}
-
-TEST_F(BufferPoolTest, LedgerMergesARemovalRunBelowAnEarlierOne) {
-  // Page 2 removes key 40 (which page 3 duplicated first), then, as the
-  // tail, key 10: the second run lies below the first and is merged in,
-  // so 40 still pins page 3's pending image when page 3 drops 40 again.
-  SeedKeys(file_, 2, {10, 40});
-  auto pool = MakePool(4);
-  std::vector<Record> out;
-  ASSERT_TRUE(pool->Read(3, &out).ok());
-  ASSERT_TRUE(pool->Read(2, &out).ok());
-  ASSERT_TRUE(Write(*pool, 3, {{40, 40}}).ok());
-  ASSERT_TRUE(Write(*pool, 2, {{10, 10}}).ok());
-  ASSERT_TRUE(Write(*pool, 2, {}).ok());
-  EXPECT_EQ(pool->stats().write_combines, 1);
-  const IoStats before = file_.stats();
-  ASSERT_TRUE(Write(*pool, 3, {}).ok());
-  EXPECT_EQ(pool->stats().relocations, 0);
-  EXPECT_EQ(pool->stats().ordered_flushes, 1);
-  EXPECT_EQ((file_.stats() - before).page_writes, 1);
-  ASSERT_EQ(PeekPage(file_, 3).size(), 1);  // 40 is durable before page 2
-  EXPECT_EQ(PeekPage(file_, 3).MinKey(), 40);
-}
-
-TEST_F(BufferPoolTest, FlushAllSweepsOrderFreeFramesByAddress) {
-  // Three adjacent pages dirtied out of address order, all pure
-  // additions: the safe-order scheduler sorts them into one sequential
-  // run instead of two L-order runs.
-  SeedPage(5, 50);
-  SeedPage(6, 60);
-  SeedPage(7, 70);
-  auto pool = MakePool(4);
-  for (const Address a : {Address{7}, Address{5}, Address{6}}) {
+    const std::vector<Record> g = Image(c.g_keys);
+    ASSERT_TRUE(file.RawWrite(2, g.data(), g.data() + g.size()).ok());
     std::vector<Record> out;
-    ASSERT_TRUE(pool->Read(a, &out).ok());
-    // Values match the seeded records: a changed value would count as a
-    // removal and pin the frame to L order.
-    const Key k = static_cast<Key>(10 * a);
-    ASSERT_TRUE(Write(*pool, a, {{k, k}, {k + 1, k + 1}}).ok());
+    ASSERT_TRUE(pool.Read(3, &out).ok());
+    ASSERT_TRUE(pool.Read(2, &out).ok());
+    ASSERT_TRUE(Write(pool, 3, Image(c.f_pending)).ok());
+    ASSERT_TRUE(Write(pool, 2, {}).ok());
+    const IoStats before = file.stats();
+    ASSERT_TRUE(Write(pool, 3, Image(c.f_final)).ok());
+    EXPECT_EQ((file.stats() - before).page_writes, 1);
+    EXPECT_EQ(pool.stats().ordered_flushes, 1);
+    EXPECT_EQ(PeekPage(file, 3).size(), c.f_pending.size());
+    EXPECT_EQ(PeekPage(file, 2).size(), c.g_keys.size());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    EXPECT_EQ(PeekPage(file, 3).size(), c.f_final.size());
+    EXPECT_TRUE(PeekPage(file, 2).empty());
   }
-  ASSERT_TRUE(pool->FlushAll().ok());
-  EXPECT_EQ(pool->stats().flush_runs, 1);
-  EXPECT_EQ(PeekPage(file_, 5).size(), 2);
-  EXPECT_EQ(PeekPage(file_, 6).size(), 2);
-  EXPECT_EQ(PeekPage(file_, 7).size(), 2);
+}
+
+// FlushAll walks L front to back, never sorting by address, even when
+// every frame only adds records: pages dirtied 7, 5, 6 land in that
+// order, as two address runs, and a fault on page 5 keeps page 6 off the
+// device.
+TEST_F(BufferPoolTest, FlushAllWritesInDirtyOrder) {
+  for (const bool fault : {false, true}) {
+    SCOPED_TRACE(fault ? "page 5 write faults" : "no fault");
+    PageFile file(/*num_pages=*/64, /*page_capacity=*/8);
+    BufferPool pool(&file, {.num_frames = 4});
+    for (const Address a : {Address{7}, Address{5}, Address{6}}) {
+      const Key k = static_cast<Key>(10 * a);
+      const Record seeded{k, k};
+      ASSERT_TRUE(file.RawWrite(a, &seeded, &seeded + 1).ok());
+      std::vector<Record> out;
+      ASSERT_TRUE(pool.Read(a, &out).ok());
+      ASSERT_TRUE(Write(pool, a, {{k, k}, {k + 1, k + 1}}).ok());
+    }
+    if (fault) {
+      auto policy = std::make_shared<FaultPolicy>();
+      policy->FailAddressRange(5, 5, /*writes_only=*/true);
+      file.set_fault_policy(policy);
+      EXPECT_TRUE(pool.FlushAll().IsIoError());
+      EXPECT_EQ(PeekPage(file, 7).size(), 2);
+      EXPECT_EQ(PeekPage(file, 6).size(), 1);
+      EXPECT_EQ(pool.dirty_pages(), 2);
+      continue;
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    EXPECT_EQ(pool.stats().flush_runs, 2);
+    EXPECT_EQ(pool.stats().flushed_pages, 3);
+  }
 }
 
 TEST_F(BufferPoolTest, DropAllLosesDirtyDataByDesign) {

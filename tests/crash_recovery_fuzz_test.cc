@@ -219,10 +219,10 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // With a memtable in front of the file, per-command durability is gone by
 // design: staged entries are RAM, and drained-but-unflushed entries sit in
-// a deferred buffer pool whose write-back order the volatile-key exemption
-// deliberately relaxes. A crash therefore loses an arbitrary *suffix of
-// effects* since the last durability point, not just the in-flight
-// command. The single-op AlignModelAfterCrash is unsound here.
+// a deferred buffer pool that writes them back, in dirty order, whenever
+// it evicts or re-dirties an earlier page. A crash therefore loses an
+// arbitrary *suffix of effects* since the last durability point, not just
+// the in-flight command. The single-op AlignModelAfterCrash is unsound here.
 //
 // The widened ambiguity protocol: track every key mutated since the last
 // durability point together with every state (absent / present-with-value)
@@ -375,8 +375,8 @@ int64_t StagedCleanRunAccesses(DenseFile::Policy policy, int64_t cache_frames,
 
 // Sweep parameter: (policy, pool frames, staging entries). The staged
 // configurations crash through drain steps, deferred flush windows, and
-// the volatile-key reordered write-back — every place the ingest layer
-// bends the seed's per-command durability.
+// the write-back those windows defer — every place the ingest layer bends
+// the seed's per-command durability.
 class StagedCrashRecoverySweep
     : public ::testing::TestWithParam<
           std::tuple<DenseFile::Policy, int64_t, int64_t>> {};
@@ -413,7 +413,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Staging without a pool: drains write straight to the device.
         std::make_tuple(DenseFile::Policy::kControl2, int64_t{0}, int64_t{6}),
-        // Staging + pool: the full deferral + volatile-key write-back path.
+        // Staging + pool: the full deferral and deferred write-back path.
         std::make_tuple(DenseFile::Policy::kControl2, int64_t{4}, int64_t{6}),
         std::make_tuple(DenseFile::Policy::kLocalShift, int64_t{4},
                         int64_t{6})),

@@ -72,6 +72,22 @@ TEST(DsflintFixtures, LockCyclePinned) {
   EXPECT_EQ(report.findings[0].line, 24);
 }
 
+// Journal and Index both declare `mu`: the acquisition is reported with
+// both candidates instead of vanishing from the lock graph.
+TEST(DsflintFixtures, UnresolvedLockPinned) {
+  Analyzer analyzer(FixtureOptions());
+  const std::string path = FixturePath("unresolved_lock.cc");
+  analyzer.AddFile(path, ReadFile(path));
+  const LintReport report = analyzer.Run();
+  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.findings[0].kind, RuleKind::kUnresolvedLock);
+  EXPECT_EQ(report.findings[0].line, 18);
+  EXPECT_NE(report.findings[0].message.find("Journal::mu, Index::mu"),
+            std::string::npos)
+      << report.findings[0].message;
+  EXPECT_EQ(analyzer.DumpLockGraph(), "");
+}
+
 // Only the seeded cycle is found: the container call and the class's
 // own size() under log_mu resolve to no lock (see the fixture).
 TEST(DsflintFixtures, CallResolutionFindsOnlyTheRealCycle) {

@@ -9,17 +9,20 @@
 // flush-on-exit, exactly what a power cut leaves behind (modulo the
 // kernel page cache, which survives process death; fdatasync ordering is
 // what the barrier placement is for). The parent then reopens the file
-// pair with DenseFile::Open (which runs CheckAndRepair), aligns the
-// single ambiguous in-flight command against the repaired file, verifies
-// contents match a reference model, and replays the rest of the trace in
-// lockstep.
+// pair with DenseFile::Open (which runs CheckAndRepair), resolves every
+// command since the last durability point against the repaired file,
+// verifies contents match a reference model, and replays the rest of the
+// trace in lockstep.
 //
 // Kill points are scheduled at write counts recorded from a clean run:
 // EndCommand flushes the pending slot and issues an fdatasync, so the
 // cumulative pwrite count at each op boundary is exact and deterministic.
 // Points below W0 (the BulkLoad watermark) are skipped — a file killed
 // mid-bulk-load never promised anything; the per-command crash contract
-// starts at the first command.
+// starts at the first command. A staged config (staging buffer in front
+// of a pool) is durable only at its periodic Flush() calls, so its kills
+// land inside drain windows and are checked against docs/INGEST.md's
+// widened contract instead.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -27,9 +30,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/auditor.h"
@@ -49,7 +54,21 @@ struct Config {
   DenseFile::Policy policy;
   int64_t cache_frames;
   bool direct_io;
+  int64_t staging_entries = 0;
 };
+
+// A staged child calls Flush() after every kFlushEvery-th op.
+constexpr size_t kFlushEvery = 10;
+
+bool FlushesAfter(const Config& config, size_t i) {
+  return config.staging_entries > 0 && (i + 1) % kFlushEvery == 0;
+}
+
+// True when everything up to op i is durable once op i returns: every
+// command of an unstaged file, only a Flush() for a staged one.
+bool DurableAfter(const Config& config, size_t i) {
+  return config.staging_entries == 0 || FlushesAfter(config, i);
+}
 
 DenseFile::Options FileOptions(const Config& config) {
   DenseFile::Options options;
@@ -58,6 +77,7 @@ DenseFile::Options FileOptions(const Config& config) {
   options.D = 20;
   options.policy = config.policy;
   options.cache_frames = config.cache_frames;
+  options.staging_entries = config.staging_entries;
   options.audit_every_command = true;
   return options;
 }
@@ -102,18 +122,27 @@ Status ApplyToModel(ReferenceModel& model, const Op& op) {
   return Status::OK();
 }
 
-// The killed command may or may not have reached the device; both
-// outcomes are valid. Resolve by asking the repaired file.
-void AlignModelAfterKill(const Op& op, DenseFile& file,
-                         ReferenceModel& model) {
-  if (op.kind == Op::Kind::kInsert) {
-    if (file.Contains(op.record.key) && !model.Contains(op.record.key)) {
-      ASSERT_TRUE(model.Insert(op.record).ok());
-    }
-  } else if (op.kind == Op::Kind::kDelete) {
-    if (!file.Contains(op.record.key) && model.Contains(op.record.key)) {
-      ASSERT_TRUE(model.Delete(op.record.key).ok());
-    }
+// One key's permitted post-kill states: absent is modeled as nullopt.
+using KeyStates = std::set<std::optional<Value>>;
+
+std::optional<Value> ModelState(const ReferenceModel& model, Key key) {
+  if (!model.Contains(key)) return std::nullopt;
+  return model.Get(key)->value;
+}
+
+// Adds the states op may leave its key in, given the model just before
+// it: the key's state before the window (first touch only) and the op's
+// intended outcome. An op the model rejects changes nothing.
+void WidenWindow(const Op& op, const ReferenceModel& model,
+                 std::map<Key, KeyStates>& window) {
+  if (op.kind != Op::Kind::kInsert && op.kind != Op::Kind::kDelete) return;
+  const Key key = op.record.key;
+  auto [it, inserted] = window.try_emplace(key);
+  if (inserted) it->second.insert(ModelState(model, key));
+  if (op.kind == Op::Kind::kInsert && !model.Contains(key)) {
+    it->second.insert(op.record.value);
+  } else if (op.kind == Op::Kind::kDelete && model.Contains(key)) {
+    it->second.insert(std::nullopt);
   }
 }
 
@@ -136,8 +165,8 @@ Workload MakeWorkload() {
 }
 
 // Clean run: cumulative physical pwrites at BulkLoad and at every op
-// boundary. Exact because EndCommand flushes the pending slot and syncs
-// before returning.
+// boundary (after the op's Flush, if one follows it). Exact because
+// EndCommand and Flush write back and sync before returning.
 struct WriteSchedule {
   int64_t after_load = 0;              // W0
   std::vector<int64_t> after_op;       // cumulative, one per trace op
@@ -156,8 +185,11 @@ WriteSchedule CleanRunSchedule(const Config& config, const Workload& w,
       static_cast<const FileBackend*>(file->storage_backend());
   EXPECT_TRUE(file->BulkLoad(w.initial).ok());
   schedule.after_load = backend->stats().pwrites;
-  for (const Op& op : w.trace) {
-    IgnoreStatus(ApplyToFile(*file, op));
+  for (size_t i = 0; i < w.trace.size(); ++i) {
+    IgnoreStatus(ApplyToFile(*file, w.trace[i]));
+    if (FlushesAfter(config, i)) {
+      EXPECT_TRUE(file->Flush().ok());
+    }
     schedule.after_op.push_back(backend->stats().pwrites);
   }
   return schedule;
@@ -175,12 +207,16 @@ WriteSchedule CleanRunSchedule(const Config& config, const Workload& w,
   if (!created.ok()) ::_exit(3);
   DenseFile& file = **created;
   if (!file.BulkLoad(w.initial).ok()) ::_exit(3);
-  for (const Op& op : w.trace) IgnoreStatus(ApplyToFile(file, op));
+  for (size_t i = 0; i < w.trace.size(); ++i) {
+    IgnoreStatus(ApplyToFile(file, w.trace[i]));
+    if (FlushesAfter(config, i)) IgnoreStatus(file.Flush());
+  }
   ::_exit(0);
 }
 
 // Parent half: wait for the child's death, reopen + repair, resolve the
-// ambiguous command, then finish the trace in lockstep with the model.
+// commands since the last durability point, then finish the trace in
+// lockstep with the model.
 void VerifyAfterKill(const Config& config, const Workload& w,
                      const WriteSchedule& schedule, const std::string& dir,
                      int64_t kill_k, pid_t child, bool* kill_fired) {
@@ -208,36 +244,61 @@ void VerifyAfterKill(const Config& config, const Workload& w,
   EXPECT_TRUE(file.corrupt_pages_at_open().empty()) << "k=" << kill_k;
   ASSERT_TRUE(file.ValidateInvariants().ok()) << "k=" << kill_k;
 
-  // Ops whose write watermark is <= k were fully durable before the kill
-  // (their EndCommand flush completed); the first op past the watermark
-  // is the single ambiguous command.
+  // Ops [0, durable) reached the device before the kill: their last
+  // durability point's write watermark is <= k. Ops [durable, started)
+  // had begun (the watermark before them is <= k) and may have landed in
+  // part: each key they mutated must hold some state from its history in
+  // that window, and the model adopts it. Every other key is exact.
   ReferenceModel model(file.capacity());
   ASSERT_TRUE(model.Load(w.initial).ok());
-  size_t resume = w.trace.size();
+  size_t durable = 0;
+  size_t started = w.trace.size();
   for (size_t i = 0; i < w.trace.size(); ++i) {
-    if (schedule.after_op[i] > kill_k) {
-      resume = i;
+    if ((i == 0 ? schedule.after_load : schedule.after_op[i - 1]) > kill_k) {
+      started = i;
       break;
     }
+    if (schedule.after_op[i] <= kill_k && DurableAfter(config, i)) {
+      durable = i + 1;
+    }
+  }
+  for (size_t i = 0; i < durable; ++i) {
     IgnoreStatus(ApplyToModel(model, w.trace[i]));
   }
-  if (resume < w.trace.size()) {
-    AlignModelAfterKill(w.trace[resume], file, model);
-    if (::testing::Test::HasFatalFailure()) return;
-    ++resume;
+  std::map<Key, KeyStates> window;
+  for (size_t i = durable; i < started; ++i) {
+    WidenWindow(w.trace[i], model, window);
+    IgnoreStatus(ApplyToModel(model, w.trace[i]));
+  }
+  for (const auto& [key, states] : window) {
+    std::optional<Value> got;
+    if (file.Contains(key)) got = *file.Get(key);
+    ASSERT_TRUE(states.count(got) > 0)
+        << "k=" << kill_k << " key=" << key
+        << ": recovered state is outside the key's history since op "
+        << durable;
+    if (model.Contains(key)) {
+      ASSERT_TRUE(model.Delete(key).ok());
+    }
+    if (got.has_value()) {
+      ASSERT_TRUE(model.Insert(Record{key, *got}).ok());
+    }
   }
   ASSERT_EQ(*file.ScanAll(), model.ScanAll())
-      << "k=" << kill_k << " diverged after repair (resume op " << resume
-      << ")";
+      << "k=" << kill_k << " diverged after repair (ops " << durable << ".."
+      << started << " in doubt)";
 
   // The survivor must keep honoring the contract: replay the unreached
   // tail in lockstep.
-  for (size_t i = resume; i < w.trace.size(); ++i) {
+  for (size_t i = started; i < w.trace.size(); ++i) {
     const Status file_status = ApplyToFile(file, w.trace[i]);
     const Status model_status = ApplyToModel(model, w.trace[i]);
     ASSERT_EQ(file_status.code(), model_status.code())
         << "k=" << kill_k << " tail op=" << i << " file=" << file_status
         << " model=" << model_status;
+    if (FlushesAfter(config, i)) {
+      ASSERT_TRUE(file.Flush().ok()) << "k=" << kill_k << " tail op=" << i;
+    }
   }
   ASSERT_EQ(*file.ScanAll(), model.ScanAll()) << "k=" << kill_k;
   ASSERT_TRUE(file.Audit().ok()) << "k=" << kill_k;
@@ -281,7 +342,9 @@ TEST_P(DurableKillSweep, EveryScheduledKillPointRecovers) {
     ++points_run;
   }
   EXPECT_TRUE(kill_fired);
-  EXPECT_GE(points_run, 26);
+  // A schedule with fewer than 28 post-load writes kills at every one.
+  EXPECT_GE(points_run, std::min<int64_t>(26, last - first + 1));
+  RecordProperty("kill_points", static_cast<int>(points_run));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -290,7 +353,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{DenseFile::Policy::kControl1, 0, false},
                       Config{DenseFile::Policy::kLocalShift, 0, false},
                       Config{DenseFile::Policy::kControl2, 4, false},
-                      Config{DenseFile::Policy::kControl2, 0, true}),
+                      Config{DenseFile::Policy::kControl2, 0, true},
+                      // Kills inside staged drain windows.
+                      Config{DenseFile::Policy::kControl2, 4, false, 6}),
     [](const ::testing::TestParamInfo<Config>& param_info) {
       std::string name;
       switch (param_info.param.policy) {
@@ -302,6 +367,9 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "Direct"
                   : "Pool" + std::to_string(param_info.param.cache_frames);
       if (param_info.param.direct_io) name += "Odirect";
+      if (param_info.param.staging_entries > 0) {
+        name += "Staged" + std::to_string(param_info.param.staging_entries);
+      }
       return name;
     });
 

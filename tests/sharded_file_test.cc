@@ -641,7 +641,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 8, 8, 0, false, false, false),
                       // Staged storms: memtable + drain under contention,
                       // without and with a per-shard pool (the latter runs
-                      // the deferred-flush + volatile-key path too).
+                      // the deferred-flush path too).
                       std::make_tuple(4, 4, 0, 16, false, false, false),
                       std::make_tuple(8, 8, 8, 16, false, false, false),
                       // Read-mostly shared-path storms: readers racing

@@ -227,6 +227,10 @@ class Engine {
   std::string ResolveLockClass(
       const std::string& expr, const std::string& class_path,
       const std::map<std::string, std::string>& aliases) const;
+  // Reports an acquisition of `expr` that ResolveLockClass left
+  // unresolved because several scanned classes declare its member name.
+  void ReportUnresolvedLock(const SourceFile& f, int line,
+                            const std::string& expr);
   void RecordEdge(const std::string& from, const std::string& to, Site site,
                   const std::string& via);
 
@@ -655,6 +659,21 @@ std::string Engine::ResolveLockClass(
   return "";
 }
 
+void Engine::ReportUnresolvedLock(const SourceFile& f, int line,
+                                  const std::string& expr) {
+  if (!Strict(f) || !RuleEnabled("lock-order")) return;
+  const std::string member = expr.substr(expr.rfind('.') + 1);  // npos + 1 == 0
+  auto owners = db_.mutex_owners.find(member);
+  if (owners == db_.mutex_owners.end() || owners->second.size() < 2) return;
+  std::string candidates;
+  for (const std::string& cls : owners->second) {
+    candidates += (candidates.empty() ? "" : ", ") + cls + "::" + member;
+  }
+  Add(RuleKind::kUnresolvedLock, f, line,
+      "cannot tell which lock '" + expr + "' acquires (" + candidates +
+          "); its lock-order edges go unchecked");
+}
+
 void Engine::RecordEdge(const std::string& from, const std::string& to,
                         Site site, const std::string& via) {
   const auto key = std::make_pair(from, to);
@@ -747,7 +766,10 @@ void Engine::AnalyzeBody(const BodyJob& job) {
   };
   auto record_acquire = [&](const std::string& expr, int line) {
     const std::string cls = ResolveLockClass(expr, class_name, aliases);
-    if (cls.empty()) return;
+    if (cls.empty()) {
+      ReportUnresolvedLock(f, line, expr);
+      return;
+    }
     summary.direct_locks.insert(cls);
     for (const Hold& h : held) {
       const std::string from =

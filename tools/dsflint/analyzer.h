@@ -10,7 +10,10 @@
 // holds, `Class::Method` out-of-line definitions — and stays silent
 // where it cannot resolve a construct. Conservatism budget: a rule must
 // run clean over the real tree with zero escapes it cannot justify, so
-// unresolvable expressions are skipped, never guessed.
+// unresolvable expressions are skipped, never guessed. The one exception
+// is a lock whose member name several classes declare: its acquisition
+// is reported (kUnresolvedLock), because skipping it would drop every
+// lock-order edge through it.
 
 #ifndef DSF_TOOLS_DSFLINT_ANALYZER_H_
 #define DSF_TOOLS_DSFLINT_ANALYZER_H_

@@ -8,6 +8,7 @@ const char* RuleKindName(RuleKind kind) {
       return "guarded-by";
     case RuleKind::kLockOrderViolation:
     case RuleKind::kLockCycle:
+    case RuleKind::kUnresolvedLock:
       return "lock-order";
     case RuleKind::kUnknownMetricName:
     case RuleKind::kStaleMetricConstant:

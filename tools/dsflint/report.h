@@ -20,6 +20,9 @@ enum class RuleKind {
   kLockOrderViolation,
   // A cycle in the statically extracted acquisition graph.
   kLockCycle,
+  // A lock acquisition whose member name several scanned classes
+  // declare, so no lock class (and no graph edge) can be recorded.
+  kUnresolvedLock,
   // A [[nodiscard]] Status/StatusOr returning call used as a bare
   // expression statement.
   kDiscardedStatus,
